@@ -1,6 +1,11 @@
 """Convolution, pooling, and batch normalization on BCHW tensors.
 
-Convolutions run as im2col matrix products. "same" padding is symmetric
+Convolutions run as im2col matrix products over a channel-last patch
+matrix (rows batch x output position, columns window cell x channel); the
+forward and the kernel gradient share it. The input gradient is a
+transposed convolution run as one GEMM: the output gradient, with
+stride - 1 zeros inserted between its rows and columns and padded, is
+correlated with the flipped kernel. "same" padding is symmetric
 zero padding with the extra cell on the high side when the deficit is odd;
 output size is ceil(in / stride). Pooling with "same" padding excludes the
 padded cells (max ignores them, average divides by the in-bounds count).
@@ -36,6 +41,23 @@ def _windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
     return w[:, :, ::stride, ::stride]
 
 
+def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Channel-last (B,Hp,Wp,C) -> patch matrix, rows (b,oh,ow), columns (i,j,c).
+
+    One window row (i fixed) is k*C adjacent input values, so the copy
+    moves runs of k*C values rather than of k.
+    """
+    B, C = xp.shape[0], xp.shape[3]
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    oH, oW = win.shape[1:3]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(B * oH * oW, k * k * C)
+
+
+def _tap(a: np.ndarray, i: int, j: int, stride: int, oH: int, oW: int) -> np.ndarray:
+    """View of window cell (i, j) of every (oh, ow) window: (B,C,oH,oW)."""
+    return a[:, :, i : i + stride * oH : stride, j : j + stride * oW : stride]
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
     """2D convolution (cross-correlation): kernel is (outC, inC, kH, kW)."""
     if x.ndim != 4 or kernel.ndim != 4:
@@ -48,38 +70,44 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -
         raise ValueError(f"stride must be >= 1, got {stride}")
     if kh != kw:
         raise ShapeError(f"only square kernels supported, got {kh}x{kw}")
+    k = kh
 
-    oH, pt, pb = _out_size(H, kh, stride, padding)
-    oW, pl, pr = _out_size(W, kw, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if (pt or pb or pl or pr) else x.data
+    oH, pt, pb = _out_size(H, k, stride, padding)
+    oW, pl, pr = _out_size(W, k, stride, padding)
+    xp = np.zeros((B, H + pt + pb, W + pl + pr, C), dtype=x.data.dtype)
+    xp[:, pt : pt + H, pl : pl + W] = x.data.transpose(0, 2, 3, 1)
 
-    cols = _windows(xp, kh, stride).transpose(0, 2, 3, 1, 4, 5).reshape(B * oH * oW, C * kh * kw)
-    kmat = kernel.data.reshape(O, C * kh * kw)
+    cols = _im2col(xp, k, stride)
+    kmat = kernel.data.transpose(0, 2, 3, 1).reshape(O, k * k * C)
     out_data = (cols @ kmat.T).reshape(B, oH, oW, O).transpose(0, 3, 1, 2)
     out = Tensor(np.ascontiguousarray(out_data))
 
     def vjp(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(B * oH * oW, O)
         gk = gx = None
+        g_last = g.transpose(0, 2, 3, 1)
         if kernel.requires_grad:
-            gk = (gmat.T @ cols).reshape(kernel.shape)
+            gk = (g_last.reshape(B * oH * oW, O).T @ cols).reshape(O, k, k, C).transpose(0, 3, 1, 2)
         if x.requires_grad:
-            dcols = (gmat @ kmat).reshape(B, oH, oW, C, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * oH : stride, j : j + stride * oW : stride] += dcols[..., i, j]
-            gx = dxp[:, :, pt : pt + H, pl : pl + W]
+            # transposed convolution: correlate the zero-inserted g, padded
+            # so that output cell (h, w) lines up with input cell (h, w),
+            # with the flipped kernel
+            Lh, Lw = (oH - 1) * stride + 1, (oW - 1) * stride + 1
+            gz = np.zeros((B, H + k - 1, W + k - 1, O), dtype=g.dtype)
+            gz[:, k - 1 - pt : k - 1 - pt + Lh : stride, k - 1 - pl : k - 1 - pl + Lw : stride] = g_last
+            kflip = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * O, C)
+            gx = (_im2col(gz, k, 1) @ kflip).reshape(B, H, W, C).transpose(0, 3, 1, 2)
         return (gx, gk)
 
     return record(out, (x, kernel), vjp)
 
 
 def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid") -> Tensor:
-    """Max or average pooling. Max routes gradient to the first argmax in
+    """Max or average pooling.
 
-    row-major window order; average distributes uniformly over the cells
-    that contributed (padded cells never contribute).
+    Max is a tap-wise reduction: one elementwise maximum per window cell.
+    Its gradient goes to the first cell in row-major window order that
+    equals the window's maximum. Average distributes the gradient uniformly
+    over the cells that contributed (padded cells never contribute).
     """
     if x.ndim != 4:
         raise ShapeError(f"pool2d expects 4D input, got {x.shape}")
@@ -91,20 +119,28 @@ def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid")
     oH, pt, pb = _out_size(H, size, stride, padding)
     oW, pl, pr = _out_size(W, size, stride, padding)
     padded = pt or pb or pl or pr
+    taps = [(i, j) for i in range(size) for j in range(size)]
 
     if mode == "max":
-        fill = -np.inf if padded else 0.0
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)), constant_values=fill) if padded else x.data
-        flat = _windows(xp, size, stride).reshape(B, C, oH, oW, size * size)
-        idx = flat.argmax(axis=-1)
-        out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)), constant_values=-np.inf) if padded else x.data
+        top = _tap(xp, 0, 0, stride, oH, oW).copy()
+        for i, j in taps[1:]:
+            np.maximum(top, _tap(xp, i, j, stride, oH, oW), out=top)
+        out = Tensor(top)
 
         def vjp(g):
-            dxp = np.zeros((B, C, H + pt + pb, W + pl + pr), dtype=x.data.dtype)
-            bb, cc, oh, ow = np.indices(idx.shape, sparse=True)
-            ih = oh * stride + idx // size
-            iw = ow * stride + idx % size
-            np.add.at(dxp, (bb, cc, ih, iw), g)
+            dxp = np.zeros(xp.shape, dtype=x.data.dtype)
+            unclaimed = np.ones(top.shape, dtype=bool)
+            first = np.empty(top.shape, dtype=bool)
+            share = np.empty(top.shape, dtype=dxp.dtype)
+            for i, j in taps:
+                # windows whose maximum sits at this cell and at no earlier one
+                np.equal(_tap(xp, i, j, stride, oH, oW), top, out=first)
+                first &= unclaimed
+                unclaimed ^= first
+                np.multiply(g, first, out=share)
+                dtap = _tap(dxp, i, j, stride, oH, oW)
+                dtap += share
             return (dxp[:, :, pt : pt + H, pl : pl + W],)
 
         return record(out, (x,), vjp)
@@ -123,9 +159,9 @@ def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid")
     def vjp(g):
         share = g / count
         dxp = np.zeros((B, C, H + pt + pb, W + pl + pr), dtype=x.data.dtype)
-        for i in range(size):
-            for j in range(size):
-                dxp[:, :, i : i + stride * oH : stride, j : j + stride * oW : stride] += share
+        for i, j in taps:
+            dtap = _tap(dxp, i, j, stride, oH, oW)
+            dtap += share
         return (dxp[:, :, pt : pt + H, pl : pl + W],)
 
     return record(out, (x,), vjp)

@@ -30,7 +30,6 @@ __all__ = [
     "FcCapsuleParams",
     "RoutingError",
     "RoutingNumericalError",
-    "RoutingState",
     "conv1x1_capsule_forward",
     "coupling_softmax",
     "frozen_routing",
@@ -100,16 +99,6 @@ class FcCapsuleParams:
             raise RoutingError(f"weights must be 4D (N x J x d_in x d_out), got {self.weights.shape}")
         if self.iterations < 1:
             raise RoutingError(f"iterations must be >= 1, got {self.iterations}")
-
-
-@dataclass
-class RoutingState:
-    """Mutable per-sample routing state for one layer instance."""
-
-    logits: np.ndarray  # b, shape (I, J)
-    couplings: np.ndarray  # c from the most recent softmax step
-    gram: Optional[np.ndarray]  # G, shape (I, I); None on the naive path
-    weights: np.ndarray  # W, shape (I, J)
 
 
 # ---------------------------------------------------------------------------

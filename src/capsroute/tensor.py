@@ -141,12 +141,6 @@ def _wrap(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
-def assert_finite(t: Tensor, what: str = "tensor") -> Tensor:
-    if not np.all(np.isfinite(t.data)):
-        raise FloatingPointError(f"{what} contains non-finite values")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Tape
 # ---------------------------------------------------------------------------

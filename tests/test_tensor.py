@@ -164,6 +164,21 @@ class TestPool2d:
             backward(tape, y.sum())
         np.testing.assert_array_equal(x.grad, np.array([[[[1.0, 0.0], [0.0, 0.0]]]]))
 
+        # constant image, 3/2 "same": windows overlap and hang over the
+        # edge; each window's gradient lands on its first in-bounds cell
+        H, W, size, stride = 7, 6, 3, 2
+        x = Tensor(np.full((1, 2, H, W), 0.5), requires_grad=True)
+        g = np.random.default_rng(3).standard_normal((1, 2, 4, 3))
+        with Tape() as tape:
+            y = pool2d(x, "max", size=size, stride=stride, padding="same")
+            backward(tape, (y * Tensor(g)).sum())
+        pt, pl = 1, 0  # low-side padding of each axis
+        expect = np.zeros((1, 2, H, W))
+        for oh in range(4):
+            for ow in range(3):
+                expect[:, :, max(oh * stride - pt, 0), max(ow * stride - pl, 0)] += g[:, :, oh, ow]
+        np.testing.assert_allclose(x.grad, expect, rtol=0, atol=1e-12)
+
     def test_avgpool_upsample_replication_preserves_window_mean(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 2, 8, 8))
@@ -358,16 +373,32 @@ class TestFiniteDiff:
         assert finite_diff_check(f, x) <= 1e-4
 
     def test_randomized_shapes_sweep(self):
-        # randomized-shape gradient checks, 100 in total
+        # randomized-shape gradient checks at stride 1, 100 in total, then
+        # fixed shapes for the strided, large-kernel and non-square cases
         rng = np.random.default_rng(16)
+        shapes = []
         for trial in range(50):
             B = int(rng.integers(1, 3))
             C = int(rng.integers(1, 4))
             H = int(rng.integers(5, 9))
             O = int(rng.integers(1, 4))
             k = int(rng.integers(1, 4))
-            x = Tensor(rng.standard_normal((B, C, H, H)))
+            shapes.append((B, C, H, H, O, k, 1, "same" if trial % 2 else "valid"))
+        shapes += [
+            # (B, C, H, W, O, k, stride, padding)
+            (1, 2, 7, 7, 2, 3, 2, "same"),
+            (2, 1, 8, 8, 2, 3, 2, "valid"),
+            (1, 2, 8, 8, 2, 1, 2, "valid"),  # the strided 1x1 of the stem
+            (1, 1, 11, 11, 2, 7, 2, "same"),  # the 7x7/2 stem conv
+            (1, 2, 9, 9, 1, 2, 3, "same"),
+            (1, 1, 10, 10, 2, 4, 3, "valid"),
+            (1, 2, 8, 8, 2, 9, 1, "same"),  # kernel larger than its input, like the 9x9 head
+            (1, 1, 5, 5, 2, 7, 2, "same"),
+            (1, 2, 5, 7, 2, 3, 2, "same"),  # H != W
+            (2, 1, 6, 9, 1, 5, 1, "valid"),
+        ]
+        for B, C, H, W, O, k, stride, pad in shapes:
+            x = Tensor(rng.standard_normal((B, C, H, W)))
             w = Tensor(rng.standard_normal((O, C, k, k)))
-            pad = "same" if trial % 2 else "valid"
-            assert finite_diff_check(lambda t: relu(conv2d(t, w, padding=pad)).sum(), x) <= 1e-4
-            assert finite_diff_check(lambda t: relu(conv2d(x, t, padding=pad)).sum(), w) <= 1e-4
+            assert finite_diff_check(lambda t: relu(conv2d(t, w, stride, pad)).sum(), x) <= 1e-4
+            assert finite_diff_check(lambda t: relu(conv2d(x, t, stride, pad)).sum(), w) <= 1e-4
