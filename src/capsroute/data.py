@@ -110,6 +110,8 @@ def load_manifest(path) -> list[ManifestEntry]:
 def write_manifest(entries, path) -> None:
     lines = ["path,labels,boxes"]
     for e in entries:
+        if "," in e.path or e.path.splitlines() != [e.path] or e.path != e.path.strip():
+            raise DataError(f"image path {e.path!r} cannot be read back: empty, or a comma, line break or edge space")
         labels = ";".join(str(i) for i in e.labels)
         boxes = ";".join(":".join(str(v) for v in box) for box in e.boxes)
         lines.append(f"{e.path},{labels},{boxes}")
@@ -376,10 +378,18 @@ def load_checkpoint(path) -> Checkpoint:
         elif line.startswith("rng "):
             ckpt.rng_state = line[len("rng ") :]
         elif line.startswith("tensor "):
-            name, tag, dims, offset, nbytes = line[len("tensor ") :].split(" ")
-            shape = () if dims == "scalar" else tuple(int(d) for d in dims.split("x"))
-            directory.append((name, tag, shape, int(offset), int(nbytes)))
+            try:
+                name, tag, dims, offset, nbytes = line[len("tensor ") :].split(" ")
+                shape = () if dims == "scalar" else tuple(int(d) for d in dims.split("x"))
+                offset, nbytes = int(offset), int(nbytes)
+            except ValueError:
+                raise DataError(f"{path}: malformed tensor line {line!r}")
+            if min((offset, nbytes) + shape) < 0:
+                raise DataError(f"{path}: tensor {name} has a negative offset, byte count or extent")
+            directory.append((name, tag, shape, offset, nbytes))
         elif line.startswith("data "):
+            if not line[len("data ") :].isdigit():
+                raise DataError(f"{path}: malformed data line {line!r}")
             total = int(line[len("data ") :])
             break
         else:
@@ -390,10 +400,12 @@ def load_checkpoint(path) -> Checkpoint:
     for name, tag, shape, offset, nbytes in directory:
         if tag not in _TAG_DTYPES:
             raise DataError(f"{path}: tensor {name} has unknown dtype tag {tag!r}")
-        arr = np.frombuffer(blob[offset : offset + nbytes], dtype=_TAG_DTYPES[tag])
         expected = int(np.prod(shape)) if shape else 1
-        if arr.size != expected:
-            raise DataError(f"{path}: tensor {name} expected {expected} values, found {arr.size}")
+        if nbytes != expected * _TAG_DTYPES[tag].itemsize:
+            raise DataError(f"{path}: tensor {name} expected {expected} values, directory gives {nbytes} bytes")
+        if offset + nbytes > total:
+            raise DataError(f"{path}: tensor {name} bytes {offset}..{offset + nbytes} run past the {total}-byte payload")
+        arr = np.frombuffer(blob[offset : offset + nbytes], dtype=_TAG_DTYPES[tag])
         ckpt.tensors[name] = arr.reshape(shape).copy()
     return ckpt
 

@@ -283,27 +283,8 @@ class Network:
         x = pool2d(x, "avg", 2, 1, padding="same")
 
         for layers in self.blocks:
-            feats = x
             for lay in layers:
-                y = relu(batchnorm(feats, lay.bn1_gamma, lay.bn1_beta, lay.bn1_state, mode))
-                B, C, H, W = y.shape
-                y3 = y.reshape(B, C, H * W)
-                if self.baseline:
-                    wb = broadcast_to(lay.route.weights, (B,) + lay.route.weights.shape)
-                    z3 = einsum2("bij,bis->bjs", wb, y3)
-                else:
-                    z3 = conv1x1_capsule_forward(
-                        y3,
-                        lay.route,
-                        self.config.grad_mode,
-                        freeze_key=lay.name,
-                        trace=None if coupling_trace is None else coupling_trace.setdefault(lay.name, []),
-                    )
-                z = z3.reshape(B, z3.shape[1], H, W)
-                z = relu(batchnorm(z, lay.bn2_gamma, lay.bn2_beta, lay.bn2_state, mode))
-                z = conv2d(z, lay.conv3, stride=1, padding="same")
-                feats = concat([feats, z], axis=1)
-            x = feats
+                x = concat([x, self.composite_layer(x, lay, mode, coupling_trace)], axis=1)
 
         x = relu(batchnorm(x, self.head_bn_gamma, self.head_bn_beta, self.head_bn_state, mode))
         pre_pool = conv2d(x, self.head_conv, stride=1, padding="same")
@@ -314,6 +295,25 @@ class Network:
             "class_capsules": v,
         }
         return scores, taps
+
+    def composite_layer(self, feats: Tensor, lay: _CompositeLayer, mode: str, coupling_trace: dict | None = None) -> Tensor:
+        """One dense-block step: BN-ReLU-1x1-BN-ReLU-3x3 conv, where the 1x1
+
+        is routed (plain in the baseline). Returns the growth_rate new maps;
+        the caller concatenates.
+        """
+        y = relu(batchnorm(feats, lay.bn1_gamma, lay.bn1_beta, lay.bn1_state, mode))
+        B, C, H, W = y.shape
+        y3 = y.reshape(B, C, H * W)
+        if self.baseline:
+            wb = broadcast_to(lay.route.weights, (B,) + lay.route.weights.shape)
+            z3 = einsum2("bij,bis->bjs", wb, y3)
+        else:
+            trace = None if coupling_trace is None else coupling_trace.setdefault(lay.name, [])
+            z3 = conv1x1_capsule_forward(y3, lay.route, self.config.grad_mode, freeze_key=lay.name, trace=trace)
+        z = z3.reshape(B, z3.shape[1], H, W)
+        z = relu(batchnorm(z, lay.bn2_gamma, lay.bn2_beta, lay.bn2_state, mode))
+        return conv2d(z, lay.conv3, stride=1, padding="same")
 
     def _tail(self, pre_pool: Tensor, coupling_trace: dict | None = None):
         pooled = pool2d(pre_pool, "avg", 4, 4, padding="valid")
@@ -350,19 +350,6 @@ def primary_capsules(head_features: Tensor) -> Tensor:
     g = head_features.reshape(B, C // 8, 8, H, W)
     g = g.transpose((0, 3, 4, 1, 2))
     return g.reshape(B, H * W * (C // 8), 8)
-
-
-def composite_layer(feats: Tensor, layer: _CompositeLayer, grad_mode: str = "last", mode: str = "train") -> Tensor:
-    """One dense-block step on its own: BN-ReLU-routed 1x1-BN-ReLU-3x3 conv.
-
-    Returns the growth_rate new maps; the caller concatenates.
-    """
-    y = relu(batchnorm(feats, layer.bn1_gamma, layer.bn1_beta, layer.bn1_state, mode))
-    B, C, H, W = y.shape
-    z3 = conv1x1_capsule_forward(y.reshape(B, C, H * W), layer.route, grad_mode, freeze_key=layer.name)
-    z = z3.reshape(B, z3.shape[1], H, W)
-    z = relu(batchnorm(z, layer.bn2_gamma, layer.bn2_beta, layer.bn2_state, mode))
-    return conv2d(z, layer.conv3, stride=1, padding="same")
 
 
 def build_network(config: NetworkConfig, seed: int) -> Network:

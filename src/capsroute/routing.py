@@ -14,6 +14,11 @@ Both produce identical couplings; the Gram path never touches the feature
 maps during iteration, so the layer materializes its output exactly once.
 Routing state is per sample: batch elements never share logits, couplings,
 or Gram matrices.
+
+The 1x1 and FC layers differ only in their evidence update, which each
+gives as a numpy step and a taped step. `_iterate` is the one detached
+routing loop and `_route` the one coupling schedule; the spec-level
+`route_conv1x1_kernel` runs the same loop as the layer.
 """
 
 from __future__ import annotations
@@ -47,9 +52,6 @@ class RoutingError(ValueError):
 
 class RoutingNumericalError(FloatingPointError):
     """A recovered squared norm fell below the tolerated rounding band."""
-
-
-_NEG_NORM_TOL = 1e-9
 
 
 @dataclass
@@ -106,11 +108,14 @@ class FcCapsuleParams:
 # ---------------------------------------------------------------------------
 
 
-def _squash_np(x: np.ndarray, axis: int) -> np.ndarray:
-    n2 = np.sum(x * x, axis=axis, keepdims=True)
+def _agreement_scale(n2: np.ndarray) -> np.ndarray:
+    """|v| / (1 + |v|^2) from the squared norm, 0 at 0."""
     n = np.sqrt(n2)
-    scale = np.divide(n, 1.0 + n2, out=np.zeros_like(n), where=n2 > 0)
-    return x * scale
+    return np.divide(n, 1.0 + n2, out=np.zeros_like(n), where=n2 > 0)
+
+
+def _squash_np(x: np.ndarray, axis: int) -> np.ndarray:
+    return x * _agreement_scale(np.sum(x * x, axis=axis, keepdims=True))
 
 
 def squash(v: Union[np.ndarray, Tensor, list], axis: int = -1):
@@ -127,15 +132,14 @@ def squash(v: Union[np.ndarray, Tensor, list], axis: int = -1):
 def _squash_tensor(v: Tensor, axis: int) -> Tensor:
     x = v.data
     n2 = np.sum(x * x, axis=axis, keepdims=True)
-    n = np.sqrt(n2)
-    scale = np.divide(n, 1.0 + n2, out=np.zeros_like(n), where=n2 > 0)
+    scale = _agreement_scale(n2)
     out = Tensor(x * scale)
 
     def vjp(g):
         # d squash / dx = scale * I + ((1 - n2) / ((1 + n2)^2 * n)) * x x^T
         dot = np.sum(g * x, axis=axis, keepdims=True)
-        denom = (1.0 + n2) ** 2 * n
-        coef = np.divide(1.0 - n2, denom, out=np.zeros_like(n), where=n2 > 1e-24)
+        denom = (1.0 + n2) ** 2 * np.sqrt(n2)
+        coef = np.divide(1.0 - n2, denom, out=np.zeros_like(n2), where=n2 > 1e-24)
         return (g * scale + coef * dot * x,)
 
     return record(out, (v,), vjp)
@@ -167,41 +171,54 @@ def gram(features) -> np.ndarray:
     return upper + np.triu(upper, 1).T
 
 
-def _agreement_scale(n2: np.ndarray) -> np.ndarray:
-    """|g| / (1 + |g|^2) from the squared norm, 0 at 0."""
-    n = np.sqrt(n2)
-    return np.divide(n, 1.0 + n2, out=np.zeros_like(n), where=n2 > 0)
+def _check_norms(n2: np.ndarray, G: np.ndarray, W: np.ndarray) -> None:
+    """Abort when a recovered |g_j|^2 lies below its rounding band, I * eps *
+
+    (sum_i |W_ij|)^2 * max_i |G_ii| per sample and output map: the summed
+    magnitudes of its terms times an I-term sum's rounding.
+    """
+    if np.any(n2 < 0):
+        diag = np.abs(np.diagonal(G, axis1=-2, axis2=-1)).max(axis=-1)
+        band = W.shape[0] * np.finfo(G.dtype).eps * np.sum(np.abs(W), axis=0) ** 2 * diag[..., None]
+        if np.any(n2 < -band):
+            raise RoutingNumericalError(f"recovered |g|^2 = {n2.min():.3e} below the rounding band")
 
 
 def _agreement_terms(G: np.ndarray, W: np.ndarray, c: np.ndarray):
     """Return (A, n2) where A[.., i, j] = f_hat_ji . g_j and n2[.., j] = |g_j|^2.
 
     A expands through the Gram matrix: sum_l W_ij W_lj c_lj G_li; the norm
-    recovery is n2_j = sum_i c_ij A_ij. Values more negative than the
-    rounding band abort; small negatives clamp to zero.
+    recovery is n2_j = sum_i c_ij A_ij. Values below the rounding band
+    abort; small negatives clamp to zero.
     """
     Wc = W * c
     M = np.einsum("...li,...lj->...ij", G, Wc)
     A = W * M
     n2 = np.sum(c * A, axis=-2)
-    if np.any(n2 < -_NEG_NORM_TOL):
-        raise RoutingNumericalError(f"recovered |g|^2 = {n2.min():.3e} below -{_NEG_NORM_TOL:g}")
+    _check_norms(n2, G, W)
     return A, np.maximum(n2, 0.0)
 
 
-def _kernel_update_steps(G: np.ndarray, W: np.ndarray, n_steps: int, trace: Optional[list] = None) -> np.ndarray:
-    """Run `n_steps` full {softmax, agreement, evidence-update} rounds on
+def _gram_step(c: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Gram-space evidence update A_ij * |g_j| / (1 + |g_j|^2)."""
+    A, n2 = _agreement_terms(G, W, c)
+    return A * _agreement_scale(n2)[..., None, :]
 
-    zero-initialized logits, entirely on the Gram matrix. Returns b.
-    """
-    shape = G.shape[:-2] + (W.shape[0], W.shape[1])
-    b = np.zeros(shape, dtype=G.dtype)
+
+def _fc_step(c: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
+    """FC evidence update u_hat_ij . squash(sum_i c_ij u_hat_ij)."""
+    s = np.einsum("bnj,bnjd->bjd", c, u_hat)
+    return np.einsum("bnjd,bjd->bnj", u_hat, _squash_np(s, axis=-1))
+
+
+def _iterate(step, operands, shape, dtype, n_steps: int, trace: Optional[list] = None) -> np.ndarray:
+    """`n_steps` detached {softmax, b += step(c, *operands)} rounds from zero logits; returns b."""
+    b = np.zeros(shape, dtype=dtype)
     for _ in range(n_steps):
         c = coupling_softmax(b)
         if trace is not None:
             trace.append(c.copy())
-        A, n2 = _agreement_terms(G, W, c)
-        b = b + A * _agreement_scale(n2)[..., None, :]
+        b = b + step(c, *operands)
     return b
 
 
@@ -250,17 +267,11 @@ def route_conv1x1_kernel(G, params: Conv1x1CapsuleParams, trace: Optional[list] 
     W = params.weights.data.astype(np.float64)
     if G.shape[0] != W.shape[0]:
         raise RoutingError(f"Gram matrix is {G.shape[0]}x{G.shape[0]} but weights expect {W.shape[0]} maps")
-    I, J = W.shape
-    b = np.zeros((I, J))
-    c = None
-    n2 = np.zeros(J)
-    for it in range(params.iterations):
-        c = coupling_softmax(b)
-        if trace is not None:
-            trace.append(c.copy())
-        A, n2 = _agreement_terms(G, W, c)
-        if it + 1 < params.iterations:  # the last update would go unread
-            b = b + A * _agreement_scale(n2)[None, :]
+    b = _iterate(_gram_step, (G, W), W.shape, G.dtype, params.iterations - 1, trace)
+    c = coupling_softmax(b)
+    if trace is not None:
+        trace.append(c.copy())
+    _, n2 = _agreement_terms(G, W, c)
     return c, np.sqrt(n2)
 
 
@@ -269,8 +280,8 @@ def route_conv1x1_kernel(G, params: Conv1x1CapsuleParams, trace: Optional[list] 
 # ---------------------------------------------------------------------------
 
 
-class _FreezeContext:
-    """Pins the detached routing iterations across repeated forwards.
+class frozen_routing:
+    """Context that pins the detached routing iterations across repeated forwards.
 
     The first forward pass stores each layer's detached logits under its
     key; later passes reuse them. This is what makes finite differencing
@@ -278,45 +289,75 @@ class _FreezeContext:
     through the differentiated final update, exactly as the adjoints do.
     """
 
-    _active: Optional["_FreezeContext"] = None
+    _active: Optional["frozen_routing"] = None
 
     def __init__(self):
         self.cache: dict = {}
 
     def __enter__(self):
-        _FreezeContext._active = self
+        frozen_routing._active = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _FreezeContext._active = None
-
-
-def frozen_routing() -> _FreezeContext:
-    return _FreezeContext()
-
-
-def _frozen(key, compute):
-    ctx = _FreezeContext._active
-    if ctx is None or key is None:
-        return compute()
-    if key not in ctx.cache:
-        ctx.cache[key] = compute()
-    return ctx.cache[key]
+        frozen_routing._active = None
 
 
 def _routing_scale_op(n2: Tensor) -> Tensor:
     """Taped |g|/(1+|g|^2) from |g|^2, with a guarded derivative at 0."""
     x = n2.data
-    n = np.sqrt(x)
-    y = np.divide(n, 1.0 + x, out=np.zeros_like(x), where=x > 0)
-    out = Tensor(y)
+    out = Tensor(_agreement_scale(x))
 
     def vjp(g):
-        denom = 2.0 * n * (1.0 + x) ** 2
+        denom = 2.0 * np.sqrt(x) * (1.0 + x) ** 2
         d = np.divide(1.0 - x, denom, out=np.zeros_like(x), where=x > 1e-24)
         return (g * d,)
 
     return record(out, (n2,), vjp)
+
+
+def _gram_step_taped(c: Tensor, G: Tensor, W: Tensor) -> Tensor:
+    """`_gram_step` on the tape, for the differentiated final round."""
+    A = mul(W, einsum2("bli,blj->bij", G, mul(c, W)))
+    n2 = tsum(mul(c, A), axis=1)
+    _check_norms(n2.data, G.data, W.data)
+    B, J = n2.shape
+    return mul(A, _routing_scale_op(relu(n2)).reshape(B, 1, J))
+
+
+def _fc_step_taped(c: Tensor, u_hat: Tensor) -> Tensor:
+    """`_fc_step` on the tape, for the differentiated final round."""
+    return einsum2("bnjd,bjd->bnj", u_hat, squash(einsum2("bnj,bnjd->bjd", c, u_hat)))
+
+
+def _route(step, step_taped, operands, shape, dtype, r: int, grad_mode: str, freeze_key, trace) -> Tensor:
+    """The coupling schedule of both routed layers; returns the final couplings.
+
+    r=1 gives uniform couplings without calling `operands`, so the 1x1
+    layer builds no Gram matrix. Otherwise `step` runs r-1 detached rounds
+    on the arrays of `operands()` ("none"), or r-2 followed by a taped
+    `step_taped` round ("last"). `frozen_routing` pins the detached logits.
+    """
+    if grad_mode not in ("none", "last"):
+        raise RoutingError(f"grad_mode must be 'none' or 'last', got {grad_mode!r}")
+    if r == 1:
+        c = Tensor(np.full(shape, 1.0 / shape[-1], dtype=dtype))
+    else:
+        taped_ops = operands()
+        arrays = tuple(t.data for t in taped_ops)
+        last = grad_mode == "last"
+        ctx = frozen_routing._active
+        cache = ctx.cache if ctx is not None and freeze_key is not None else {}
+        if freeze_key not in cache:
+            cache[freeze_key] = _iterate(step, arrays, shape, dtype, r - 2 if last else r - 1, trace)
+        b = cache[freeze_key]
+        c = Tensor(coupling_softmax(b))
+        if last:
+            if trace is not None:
+                trace.append(c.data.copy())
+            c = softmax_lastdim(Tensor(b) + step_taped(c, *taped_ops))
+    if trace is not None:
+        trace.append(c.data.copy())
+    return c
 
 
 def conv1x1_capsule_forward(
@@ -335,8 +376,6 @@ def conv1x1_capsule_forward(
     stay detached). `trace`, when given, collects the coupling tensor of
     every softmax step.
     """
-    if grad_mode not in ("none", "last"):
-        raise RoutingError(f"grad_mode must be 'none' or 'last', got {grad_mode!r}")
     squeeze = features.ndim == 2
     Fm = features.reshape((1,) + features.shape) if squeeze else features
     if Fm.ndim != 3:
@@ -346,49 +385,13 @@ def conv1x1_capsule_forward(
         raise RoutingError(f"features carry {Fm.shape[1]} maps but weights expect {W.shape[0]}")
     B, I, S = Fm.shape
     J = W.shape[1]
-    r = params.iterations
 
-    if r == 1:
-        c_fin = Tensor(np.full((B, I, J), 1.0 / J, dtype=Fm.dtype))
-    elif grad_mode == "none":
-        G = np.einsum("bis,bls->bil", Fm.data, Fm.data)
-        b_last = _frozen(freeze_key, lambda: _kernel_update_steps(G, W.data, r - 1, trace))
-        c_fin = Tensor(coupling_softmax(b_last))
-    else:
-        G_t = einsum2("bis,bls->bil", Fm, Fm)
-        b_pre = _frozen(freeze_key, lambda: _kernel_update_steps(G_t.data, W.data, r - 2, trace))
-        c_prev = Tensor(coupling_softmax(b_pre))
-        if trace is not None:
-            trace.append(c_prev.data.copy())
-        # final evidence update, still in Gram space but on the tape
-        Wc = mul(c_prev, W)
-        M = einsum2("bli,blj->bij", G_t, Wc)
-        A = mul(W, M)
-        n2_raw = tsum(mul(c_prev, A), axis=1)
-        if np.any(n2_raw.data < -_NEG_NORM_TOL):
-            raise RoutingNumericalError(f"recovered |g|^2 = {n2_raw.data.min():.3e} below -{_NEG_NORM_TOL:g}")
-        scale = _routing_scale_op(relu(n2_raw))  # (B, J)
-        b_used = Tensor(b_pre) + mul(A, scale.reshape(B, 1, J))
-        c_fin = softmax_lastdim(b_used)
+    def operands():
+        return einsum2("bis,bls->bil", Fm, Fm), W
 
-    if trace is not None:
-        trace.append(c_fin.data.copy())
-    out = einsum2("bij,bis->bjs", mul(c_fin, W), Fm)
+    c = _route(_gram_step, _gram_step_taped, operands, (B, I, J), Fm.dtype, params.iterations, grad_mode, freeze_key, trace)
+    out = einsum2("bij,bis->bjs", mul(c, W), Fm)
     return out.reshape(J, S) if squeeze else out
-
-
-def _fc_update_steps(u_hat: np.ndarray, n_steps: int, trace: Optional[list] = None) -> np.ndarray:
-    """Detached FC routing rounds on zero logits; returns b (B, N, J)."""
-    B, N, J, D = u_hat.shape
-    b = np.zeros((B, N, J), dtype=u_hat.dtype)
-    for _ in range(n_steps):
-        c = coupling_softmax(b)
-        if trace is not None:
-            trace.append(c.copy())
-        s = np.einsum("bnj,bnjd->bjd", c, u_hat)
-        v = _squash_np(s, axis=-1)
-        b = b + np.einsum("bnjd,bjd->bnj", u_hat, v)
-    return b
 
 
 def route_fc(
@@ -405,8 +408,6 @@ def route_fc(
     squash(s_j) built from the final couplings. Gradient scope follows
     grad_mode exactly as in the convolutional layer.
     """
-    if grad_mode not in ("none", "last"):
-        raise RoutingError(f"grad_mode must be 'none' or 'last', got {grad_mode!r}")
     squeeze = primary.ndim == 2
     u = primary.reshape((1,) + primary.shape) if squeeze else primary
     if u.ndim != 3:
@@ -416,27 +417,8 @@ def route_fc(
     if u.shape[1] != N or u.shape[2] != d_in:
         raise RoutingError(f"capsules {u.shape[1]}x{u.shape[2]} do not match weights {N}x..x{d_in}")
     B = u.shape[0]
-    r = params.iterations
 
     u_hat = einsum2("bnd,njde->bnje", u, W)  # (B, N, J, d_out)
-
-    if r == 1:
-        c_fin = Tensor(np.full((B, N, J), 1.0 / J, dtype=u.dtype))
-    elif grad_mode == "none":
-        b_last = _frozen(freeze_key, lambda: _fc_update_steps(u_hat.data, r - 1, trace))
-        c_fin = Tensor(coupling_softmax(b_last))
-    else:
-        b_pre = _frozen(freeze_key, lambda: _fc_update_steps(u_hat.data, r - 2, trace))
-        c_prev = Tensor(coupling_softmax(b_pre))
-        if trace is not None:
-            trace.append(c_prev.data.copy())
-        s_prev = einsum2("bnj,bnjd->bjd", c_prev, u_hat)
-        v_prev = squash(s_prev)
-        b_used = Tensor(b_pre) + einsum2("bnjd,bjd->bnj", u_hat, v_prev)
-        c_fin = softmax_lastdim(b_used)
-
-    if trace is not None:
-        trace.append(c_fin.data.copy())
-    s = einsum2("bnj,bnjd->bjd", c_fin, u_hat)
-    v = squash(s)
+    c = _route(_fc_step, _fc_step_taped, lambda: (u_hat,), (B, N, J), u_hat.dtype, params.iterations, grad_mode, freeze_key, trace)
+    v = squash(einsum2("bnj,bnjd->bjd", c, u_hat))
     return v.reshape(J, d_out) if squeeze else v

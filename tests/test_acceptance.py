@@ -506,6 +506,7 @@ def test_c5_auc_oracle():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c6_training_directional(desk_data, trained_routed):
     headline_ok = trained_routed["macro"] >= 0.90 and trained_routed["elapsed"] <= 600.0
     print(
@@ -576,6 +577,7 @@ def test_c7_kernel_cost_claim():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c8_localization(desk_data, trained_routed, tmp_path):
     geometry_ok = (
         iobb(BBox(0, 0, 10, 10), BBox(0, 0, 10, 10)) == 1.0

@@ -68,6 +68,11 @@ class TestManifest:
         with pytest.raises(DataError, match="header"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("path", ["a,b.pgm", "a\nb.pgm", "a.pgm\n", " a.pgm", ""])
+    def test_unreadable_path_rejected_on_write(self, tmp_path, path):
+        with pytest.raises(DataError, match="image path"):
+            write_manifest([ManifestEntry(path, (0,))], tmp_path / "m.csv")
+
     def test_duplicate_path_warns(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("path,labels,boxes\na.pgm,,\na.pgm,1,\n")
@@ -242,6 +247,26 @@ class TestCheckpoint:
         save_checkpoint(p, self._sample())
         data = p.read_bytes()
         p.write_bytes(data[:-10])
+        with pytest.raises(DataError):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize(
+        "good, bad",
+        [
+            ("tensor b f64 2 32 16", "tensor b f64 2 -32 16"),  # would read tensor a's last 32 bytes
+            ("tensor b f64 2 32 16", "tensor b f64 2 32"),
+            ("tensor b f64 2 32 16", "tensor b f64 2 3x 16"),
+            ("tensor b f64 2 32 16", "tensor b f64 2 40 16"),
+            ("tensor b f64 2 32 16", "tensor b f64 2 32 -16"),
+            ("data 48", "data -48"),
+        ],
+    )
+    def test_hostile_directory_rejected(self, tmp_path, good, bad):
+        p = tmp_path / "c.ckpt"
+        save_checkpoint(p, Checkpoint(tensors={"a": np.arange(4.0), "b": np.array([5.0, 6.0])}))
+        raw = p.read_bytes()
+        assert good.encode() in raw
+        p.write_bytes(raw.replace(good.encode(), bad.encode()))
         with pytest.raises(DataError):
             load_checkpoint(p)
 

@@ -8,7 +8,6 @@ from capsroute.model import (
     NetworkConfig,
     baseline_variant,
     build_network,
-    composite_layer,
     primary_capsules,
     shape_trace,
 )
@@ -175,7 +174,7 @@ class TestCompositeLayer:
         x = Tensor(rng.standard_normal((2, 8, 8, 8)))
         feats = x
         for l, lay in enumerate(net.blocks[0]):
-            new = composite_layer(feats, lay, grad_mode="last", mode="train")
+            new = net.composite_layer(feats, lay, mode="train")
             assert new.shape == (2, 4, 8, 8)
             feats = concat([feats, new], axis=1)
             assert feats.shape[1] == 8 + (l + 1) * 4
@@ -221,7 +220,7 @@ class TestCompositeLayer:
         probe = Tensor(rng.standard_normal((2, 4, 6, 6)))
 
         def f(t):
-            out = composite_layer(t, lay, grad_mode="last", mode="train")
+            out = net.composite_layer(t, lay, mode="train")
             return (out * probe).sum()
 
         with frozen_routing():

@@ -10,6 +10,7 @@ from capsroute.routing import (
     Conv1x1CapsuleParams,
     FcCapsuleParams,
     RoutingError,
+    RoutingNumericalError,
     conv1x1_capsule_forward,
     coupling_softmax,
     frozen_routing,
@@ -301,6 +302,25 @@ class TestKernelRouting:
                 np.testing.assert_allclose(ck.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(cn.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
+    def test_negative_norm_band_scales_with_dtype_and_magnitude(self):
+        # near-collinear maps scaled by up to 100 and zero-mean weight
+        # columns: |g|^2 cancels to rounding noise far below the size of its
+        # terms, which an absolute band of 1e-9 took for corruption in f32
+        I, J, S = 16, 8, 64
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            base = rng.standard_normal(S)
+            F = (base + 1e-4 * rng.standard_normal((I, S))) * 10.0 ** rng.uniform(0, 2)
+            W = rng.standard_normal((I, J))
+            W -= W.mean(axis=0)
+            params = Conv1x1CapsuleParams(Tensor(W.astype(np.float32)), 3)
+            for mode in ("none", "last"):
+                conv1x1_capsule_forward(Tensor(F[None].astype(np.float32)), params, grad_mode=mode)
+        # a corrupted Gram matrix still aborts
+        for dt in (np.float32, np.float64):
+            with pytest.raises(RoutingNumericalError):
+                route_conv1x1_kernel(-np.eye(I, dtype=dt), Conv1x1CapsuleParams(np.ones((I, J), dtype=dt), 3))
+
     def test_non_square_gram_rejected(self):
         with pytest.raises(RoutingError):
             route_conv1x1_kernel(np.zeros((3, 4)), Conv1x1CapsuleParams(np.ones((3, 2))))
@@ -343,9 +363,18 @@ class TestConv1x1CapsuleForward:
         feats = Tensor(rng.standard_normal((3, 6, 20)))
         W = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
         for r in (1, 2, 3, 5):
-            a = conv1x1_capsule_forward(feats, Conv1x1CapsuleParams(W, r), grad_mode="none")
-            b = conv1x1_capsule_forward(feats, Conv1x1CapsuleParams(W, r), grad_mode="last")
+            trace_a, trace_b = [], []
+            a = conv1x1_capsule_forward(feats, Conv1x1CapsuleParams(W, r), grad_mode="none", trace=trace_a)
+            b = conv1x1_capsule_forward(feats, Conv1x1CapsuleParams(W, r), grad_mode="last", trace=trace_b)
             np.testing.assert_allclose(a.data, b.data, rtol=1e-14, atol=1e-14)
+            assert len(trace_a) == len(trace_b) == r
+            for ca, cb in zip(trace_a, trace_b):
+                np.testing.assert_allclose(ca, cb, rtol=0, atol=1e-12)
+            for bi in range(3):
+                trace_k = []
+                route_conv1x1_kernel(gram(feats.data[bi]), Conv1x1CapsuleParams(W, r), trace=trace_k)
+                for ck, ca in zip(trace_k, trace_a, strict=True):
+                    np.testing.assert_allclose(ca[bi], ck, rtol=0, atol=1e-12)
 
     def test_forward_couplings_match_kernel_path(self):
         rng = np.random.default_rng(13)
@@ -425,10 +454,14 @@ class TestRouteFc:
         rng = np.random.default_rng(18)
         u = Tensor(rng.standard_normal((2, 5, 4)))
         W = Tensor(rng.standard_normal((5, 3, 4, 6)) * 0.3, requires_grad=True)
-        for r in (1, 2, 3):
-            a = route_fc(u, FcCapsuleParams(W, r), grad_mode="none")
-            b = route_fc(u, FcCapsuleParams(W, r), grad_mode="last")
+        for r in (1, 2, 3, 5):
+            trace_a, trace_b = [], []
+            a = route_fc(u, FcCapsuleParams(W, r), grad_mode="none", trace=trace_a)
+            b = route_fc(u, FcCapsuleParams(W, r), grad_mode="last", trace=trace_b)
             np.testing.assert_allclose(a.data, b.data, rtol=1e-14, atol=1e-14)
+            assert len(trace_a) == len(trace_b) == r
+            for ca, cb in zip(trace_a, trace_b):
+                np.testing.assert_allclose(ca, cb, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_gradients_match_finite_differences(self, r):
