@@ -336,8 +336,6 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcam(args) -> int:
     net, cfg, _ = _restore_network(load_checkpoint(args.ckpt))
-    if not 0 <= args.class_idx < cfg["n_classes"]:
-        raise EvalError(f"class index {args.class_idx} out of range for {cfg['n_classes']} classes")
     img = load_pgm(args.image)
     size = cfg["input_size"]
     if img.shape != (size, size):

@@ -147,6 +147,8 @@ def load_pgm(path) -> np.ndarray:
         raise DataError(f"{path}: expected binary PGM magic P5, got {magic!r}")
     if maxval != b"255":
         raise DataError(f"{path}: only maxval 255 supported, got {maxval!r}")
+    if not (w.isdigit() and h.isdigit()) or int(w) < 1 or int(h) < 1:
+        raise DataError(f"{path}: width and height must be integers >= 1, got {w!r} x {h!r}")
     w, h = int(w), int(h)
     pixels = raw[i + 1 : i + 1 + w * h]
     if len(pixels) != w * h:

@@ -2,7 +2,10 @@
 
 localization scoring.
 
-Grad-CAM here targets a class score (an output-capsule norm). Each tapped
+Grad-CAM here targets a class score (an output-capsule norm) and comes
+from the score tail only: an untaped eval forward gives the pre-pool
+activations, and only the tail from there to the scores (pool, primary
+capsules, FC routing, norm) is taped and differentiated. Each pre-pool
 activation is weighted by the score's gradient at its own position, and
 the map is the ReLU of the weighted channel sum, max-normalized to
 [0, 1]. Where the gradient is spatially constant this is Grad-CAM's
@@ -37,14 +40,13 @@ __all__ = [
     "iobb",
     "localization_accuracy",
     "region_from_threshold",
-    "upsample_bilinear",
 ]
 
 IOBB_THRESHOLDS = (0.1, 0.25, 0.5)
 
 
 class EvalError(ValueError):
-    """Invalid evaluation request (unknown tap, bad class index, ...)."""
+    """Invalid evaluation request (bad class index, malformed scores, ...)."""
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +97,21 @@ def auc_per_class(scores: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class Heatmap:
-    raw: np.ndarray  # non-negative activations at the tapped resolution
+    raw: np.ndarray  # non-negative activations at the pre-pool resolution
     normalized: np.ndarray  # raw / max, all zeros when raw is all zero
     class_idx: int
-    tap: str
 
 
-def grad_cam(net, image: np.ndarray, class_idx: int, tap: str = "pre_pool_activations") -> Heatmap:
+def grad_cam(net, image: np.ndarray, class_idx: int) -> Heatmap:
     """Gradient-weighted class activation map for one prepared image.
 
     `image` is a single network-ready (H, W) or (1, H, W) input (already
-    standardized). The target is the class score itself, so a class whose
-    capsule is exactly zero yields an all-zero map.
+    standardized). An untaped eval forward yields the pre-pool
+    activations; they become the leaf of a tape that runs only
+    `net.head_tail` and back-propagates the one-hot class score, so no
+    gradient reaches the stem, dense blocks or head conv. The target is
+    the class score itself, so a class whose capsule is exactly zero
+    yields an all-zero map.
     """
     img = np.asarray(image)
     if img.ndim == 2:
@@ -114,18 +119,17 @@ def grad_cam(net, image: np.ndarray, class_idx: int, tap: str = "pre_pool_activa
     x = img[None]  # (1, 1, H, W)
     if class_idx < 0 or class_idx >= net.config.n_classes:
         raise EvalError(f"class index {class_idx} out of range for {net.config.n_classes} classes")
+    _, taps = net.forward(Tensor(x, dtype=net.config.dtype), mode="eval")
+    act = Tensor(taps["pre_pool_activations"].data, requires_grad=True)
     with Tape() as tape:
-        scores, taps = net.forward(Tensor(x, dtype=net.config.dtype), mode="eval")
-        if tap not in taps:
-            raise EvalError(f"unknown tap {tap!r}; available: {sorted(taps)}")
+        scores = net.head_tail(act)
         onehot = np.zeros(scores.shape)
         onehot[0, class_idx] = 1.0
         target = tsum(scores * Tensor(onehot, dtype=net.config.dtype))
         backward(tape, target)
-    act = taps[tap]
     grads = act.grad if act.grad is not None else np.zeros_like(act.data)
     raw, normalized = cam_from_activations(act.data[0], grads[0])
-    return Heatmap(raw=raw, normalized=normalized, class_idx=class_idx, tap=tap)
+    return Heatmap(raw=raw, normalized=normalized, class_idx=class_idx)
 
 
 def cam_from_activations(acts: np.ndarray, grads: np.ndarray):
@@ -140,11 +144,6 @@ def cam_from_activations(acts: np.ndarray, grads: np.ndarray):
     peak = raw.max()
     normalized = raw / peak if peak > 0 else np.zeros_like(raw)
     return raw, normalized
-
-
-def upsample_bilinear(heat: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Bilinear upsampling with corner alignment (shared resize kernel)."""
-    return resize_bilinear(heat, target)
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +170,18 @@ class BBox:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
 
-def region_from_threshold(normalized: np.ndarray, tau: float = 0.1, box_mode: str = "largest"):
-    """Mask pixels above tau; box the largest 4-connected component
+def region_from_threshold(normalized: np.ndarray, tau: float = 0.1):
+    """Mask pixels above tau and box the largest 4-connected component.
 
-    ("largest") or the union of all components ("union"). Returns
-    (BBox or None, mask); an empty mask means no detection.
+    Returns (BBox or None, mask); an empty mask means no detection.
     """
     heat = np.asarray(normalized)
     mask = heat > tau
     if not mask.any():
         return None, mask
-    if box_mode == "union":
-        keep = mask
-    elif box_mode == "largest":
-        labeled, n = ndimage.label(mask)  # default structure = 4-connectivity
-        sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=range(1, n + 1))
-        keep = labeled == (int(np.argmax(sizes)) + 1)
-    else:
-        raise EvalError(f"box_mode must be 'largest' or 'union', got {box_mode!r}")
-    ys, xs = np.nonzero(keep)
+    labeled, n = ndimage.label(mask)  # default structure = 4-connectivity
+    sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=range(1, n + 1))
+    ys, xs = np.nonzero(labeled == (int(np.argmax(sizes)) + 1))
     box = BBox(x=int(xs.min()), y=int(ys.min()), w=int(xs.max() - xs.min() + 1), h=int(ys.max() - ys.min() + 1))
     return box, mask
 
@@ -203,13 +195,13 @@ def iobb(detected, gt: BBox) -> float:
     return (ix * iy) / detected.area
 
 
-def heatmap_to_box(heat: Heatmap, target: tuple[int, int], tau: float = 0.1, box_mode: str = "largest"):
+def heatmap_to_box(heat: Heatmap, target: tuple[int, int], tau: float = 0.1):
     """Upsample to image coordinates, re-normalize, extract the region box."""
-    up = upsample_bilinear(heat.normalized, target)
+    up = resize_bilinear(heat.normalized, target)
     peak = up.max()
     if peak > 0:
         up = up / peak
-    box, _ = region_from_threshold(up, tau=tau, box_mode=box_mode)
+    box, _ = region_from_threshold(up, tau=tau)
     return box, up
 
 

@@ -38,6 +38,9 @@ from .tensor import (
 )
 
 
+PRIMARY_CAPS_DIM = 8  # a primary capsule groups this many consecutive head maps
+
+
 class ConfigError(ValueError):
     """Network configuration that cannot be built."""
 
@@ -52,7 +55,6 @@ class NetworkConfig:
     bottleneck_width: int = 4  # routed 1x1 emits bottleneck_width * growth_rate maps
     head_channels: int = 32
     routing_iters: int = 3
-    caps_dim_primary: int = 8
     caps_dim_class: int = 16
     n_classes: int = 4
     grad_mode: str = "last"
@@ -75,10 +77,8 @@ class NetworkConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if len(self.down_channels) != 2 or min(self.down_channels) < 1:
             raise ConfigError(f"down_channels must be two extents >= 1, got {self.down_channels}")
-        if self.caps_dim_primary != 8:
-            raise ConfigError("primary capsules group exactly 8 consecutive feature maps")
-        if self.head_channels % 8 != 0:
-            raise ConfigError(f"head_channels must be a multiple of 8, got {self.head_channels}")
+        if self.head_channels % PRIMARY_CAPS_DIM != 0:
+            raise ConfigError(f"head_channels must be a multiple of {PRIMARY_CAPS_DIM}, got {self.head_channels}")
         if self.grad_mode not in ("none", "last"):
             raise ConfigError(f"grad_mode must be 'none' or 'last', got {self.grad_mode!r}")
         resolve_dtype(self.dtype)
@@ -135,7 +135,7 @@ def shape_trace(config: NetworkConfig) -> list[tuple[str, tuple[int, int, int]]]
         )
     s = (s - 4) // 4 + 1
     step("head.avgpool(4/4)", config.head_channels, s, s)
-    n_caps = s * s * (config.head_channels // 8)
+    n_caps = s * s * (config.head_channels // PRIMARY_CAPS_DIM)
     step("primary_capsules", n_caps, 1, 1)
     step("class_capsules", config.n_classes, 1, 1)
     return trace
@@ -189,9 +189,9 @@ class Network:
         self.head_conv = param(config.head_channels, ch, 9, 9)
 
         grid = self.trace[-3][1][1]  # side of the pooled capsule grid
-        n_caps = grid * grid * (config.head_channels // 8)
+        n_caps = grid * grid * (config.head_channels // PRIMARY_CAPS_DIM)
         self.fc = FcCapsuleParams(
-            param(n_caps, config.n_classes, 8, config.caps_dim_class), config.routing_iters
+            param(n_caps, config.n_classes, PRIMARY_CAPS_DIM, config.caps_dim_class), config.routing_iters
         )
 
     # -- parameter/state registry -------------------------------------------
@@ -267,8 +267,9 @@ class Network:
     def forward(self, batch, mode: str = "train", coupling_trace: dict | None = None):
         """Run the network; returns (scores, taps).
 
-        scores is (N, n_classes) with every entry in [0, 1); taps exposes
-        "pre_pool_activations", "primary_capsules", and "class_capsules".
+        scores is (N, n_classes) with every entry in [0, 1); taps holds one
+        entry, "pre_pool_activations", the head conv's output that
+        `head_tail` maps to the scores and Grad-CAM differentiates.
         `coupling_trace`, when a dict, collects every routed layer's
         per-iteration coupling tensors under the layer's name.
         """
@@ -288,13 +289,7 @@ class Network:
 
         x = relu(batchnorm(x, self.head_bn_gamma, self.head_bn_beta, self.head_bn_state, mode))
         pre_pool = conv2d(x, self.head_conv, stride=1, padding="same")
-        scores, caps, v = self._tail(pre_pool, coupling_trace)
-        taps = {
-            "pre_pool_activations": pre_pool,
-            "primary_capsules": caps,
-            "class_capsules": v,
-        }
-        return scores, taps
+        return self.head_tail(pre_pool, coupling_trace), {"pre_pool_activations": pre_pool}
 
     def composite_layer(self, feats: Tensor, lay: _CompositeLayer, mode: str, coupling_trace: dict | None = None) -> Tensor:
         """One dense-block step: BN-ReLU-1x1-BN-ReLU-3x3 conv, where the 1x1
@@ -315,7 +310,12 @@ class Network:
         z = relu(batchnorm(z, lay.bn2_gamma, lay.bn2_beta, lay.bn2_state, mode))
         return conv2d(z, lay.conv3, stride=1, padding="same")
 
-    def _tail(self, pre_pool: Tensor, coupling_trace: dict | None = None):
+    def head_tail(self, pre_pool: Tensor, coupling_trace: dict | None = None) -> Tensor:
+        """Scores as a function of the pre-pool activations alone (the
+
+        class-score path that weakly supervised localization explains):
+        4x4 average pool, primary capsules, FC routing and capsule norms.
+        """
         pooled = pool2d(pre_pool, "avg", 4, 4, padding="valid")
         caps = primary_capsules(pooled)
         if self.baseline:
@@ -329,14 +329,7 @@ class Network:
                 freeze_key="fc",
                 trace=None if coupling_trace is None else coupling_trace.setdefault("fc", []),
             )
-        return vec_norm(v, axis=2), caps, v
-
-    def head_tail(self, pre_pool: Tensor) -> Tensor:
-        """Scores as a function of the pre-pool activations alone (the
-
-        class-score path that weakly supervised localization explains).
-        """
-        return self._tail(pre_pool)[0]
+        return vec_norm(v, axis=2)
 
 
 def primary_capsules(head_features: Tensor) -> Tensor:
@@ -345,11 +338,12 @@ def primary_capsules(head_features: Tensor) -> Tensor:
     capsule: (B, C, H, W) -> (B, H*W*C/8, 8), position-major order.
     """
     B, C, H, W = head_features.shape
-    if C % 8 != 0:
-        raise ConfigError(f"channel count {C} is not divisible by the capsule width 8")
-    g = head_features.reshape(B, C // 8, 8, H, W)
+    d = PRIMARY_CAPS_DIM
+    if C % d != 0:
+        raise ConfigError(f"channel count {C} is not divisible by the capsule width {d}")
+    g = head_features.reshape(B, C // d, d, H, W)
     g = g.transpose((0, 3, 4, 1, 2))
-    return g.reshape(B, H * W * (C // 8), 8)
+    return g.reshape(B, H * W * (C // d), d)
 
 
 def build_network(config: NetworkConfig, seed: int) -> Network:

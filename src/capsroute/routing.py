@@ -76,10 +76,6 @@ class Conv1x1CapsuleParams:
             raise RoutingError("weights contain non-finite entries")
 
     @property
-    def n_in(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def n_out(self) -> int:
         return self.weights.shape[1]
 

@@ -77,10 +77,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _not_scalar(self)
 
-    def detach(self) -> "Tensor":
-        """A view of the same buffer cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -166,9 +162,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         popped = Tape._stack.pop()
         assert popped is self
-
-    def backward(self, loss: Tensor) -> None:
-        backward(self, loss)
 
 
 def active_tape() -> Optional[Tape]:

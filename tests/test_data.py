@@ -118,6 +118,14 @@ class TestPgm:
         with pytest.raises(DataError, match="maxval"):
             load_pgm(p)
 
+    @pytest.mark.parametrize("header", [b"P5\nab 2\n255\n", b"P5\n-2 -3\n255\n", b"P5\n0 4\n255\n"])
+    def test_bad_extent_rejected(self, tmp_path, header):
+        # pixel bytes to spare, so only the header check can reject
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(header + bytes(8))
+        with pytest.raises(DataError, match="width and height"):
+            load_pgm(p)
+
     def test_truncated_pixels_rejected(self, tmp_path):
         p = tmp_path / "bad.pgm"
         p.write_bytes(b"P5\n4 4\n255\n" + bytes(5))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from capsroute.data import resize_bilinear
 from capsroute.evaluation import (
     BBox,
     EvalError,
@@ -15,11 +16,10 @@ from capsroute.evaluation import (
     iobb,
     localization_accuracy,
     region_from_threshold,
-    upsample_bilinear,
 )
 from capsroute.model import NetworkConfig, build_network
 from capsroute.routing import frozen_routing
-from capsroute.tensor import Tensor, finite_diff_check, tsum
+from capsroute.tensor import Tape, Tensor, backward, finite_diff_check, tsum
 
 
 def auc_pair_counting(scores, labels):
@@ -80,7 +80,7 @@ class TestAuc:
         assert macro == 1.0
 
 
-def _tiny_net(seed=0):
+def _tiny_net(seed=0, dtype="f64"):
     cfg = NetworkConfig(
         input_size=32,
         down_channels=(4, 8),
@@ -92,9 +92,25 @@ def _tiny_net(seed=0):
         routing_iters=2,
         caps_dim_class=4,
         n_classes=2,
-        dtype="f64",
+        dtype=dtype,
     )
     return build_network(cfg, seed=seed)
+
+
+def _whole_forward_cam(net, image, class_idx):
+    """Reference Grad-CAM: tape the whole eval forward, read the pre-pool
+
+    tap's gradient.
+    """
+    x = Tensor(np.asarray(image)[None, None], dtype=net.config.dtype)
+    with Tape() as tape:
+        scores, taps = net.forward(x, mode="eval")
+        onehot = np.zeros(scores.shape)
+        onehot[0, class_idx] = 1.0
+        backward(tape, tsum(scores * Tensor(onehot, dtype=net.config.dtype)))
+    act = taps["pre_pool_activations"]
+    grads = act.grad if act.grad is not None else np.zeros_like(act.data)
+    return cam_from_activations(act.data[0], grads[0])
 
 
 class TestGradCam:
@@ -152,13 +168,34 @@ class TestGradCam:
         with frozen_routing():
             assert finite_diff_check(f, a0, max_coords=120) <= 1e-4
 
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_tail_only_matches_whole_forward(self, dtype):
+        # differentiating the score tail from the pre-pool tap gives the
+        # same maps, bit for bit, as taping the whole eval forward
+        net = _tiny_net(seed=12, dtype=dtype)
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            img = rng.standard_normal((32, 32))
+            for cls in range(net.config.n_classes):
+                heat = grad_cam(net, img, cls)
+                raw, normalized = _whole_forward_cam(net, img, cls)
+                assert heat.raw.max() > 0
+                np.testing.assert_array_equal(heat.raw, raw)
+                np.testing.assert_array_equal(heat.normalized, normalized)
+
+    def test_gradient_reaches_only_the_tail(self):
+        # fc.w is the one parameter between the pre-pool tap and the scores
+        net = _tiny_net(seed=14)
+        grad_cam(net, np.random.default_rng(15).standard_normal((32, 32)), class_idx=0)
+        params = net.parameters()
+        assert params["fc.w"].grad is not None
+        assert [name for name, p in params.items() if name != "fc.w" and p.grad is not None] == []
+
     def test_unknown_tap_and_bad_class_rejected(self):
         net = _tiny_net(seed=6)
         img = np.zeros((32, 32))
         with pytest.raises(EvalError, match="class index"):
             grad_cam(net, img, class_idx=5)
-        with pytest.raises(EvalError, match="unknown tap"):
-            grad_cam(net, img, class_idx=0, tap="nope")
 
     def test_heatmap_normalization_bounds(self):
         net = _tiny_net(seed=7)
@@ -172,16 +209,16 @@ class TestGradCam:
 
 class TestUpsample:
     def test_constant_map(self):
-        np.testing.assert_allclose(upsample_bilinear(np.full((3, 3), 0.6), (12, 12)), 0.6, atol=1e-15)
+        np.testing.assert_allclose(resize_bilinear(np.full((3, 3), 0.6), (12, 12)), 0.6, atol=1e-15)
 
     def test_idempotent_at_same_size(self):
         rng = np.random.default_rng(9)
         m = rng.random((6, 6))
-        np.testing.assert_array_equal(upsample_bilinear(m, (6, 6)), m)
+        np.testing.assert_array_equal(resize_bilinear(m, (6, 6)), m)
 
     def test_hand_computed_2x(self):
         m = np.array([[0.0, 1.0], [1.0, 2.0]])
-        got = upsample_bilinear(m, (3, 3))
+        got = resize_bilinear(m, (3, 3))
         expect = np.array([[0.0, 0.5, 1.0], [0.5, 1.0, 1.5], [1.0, 1.5, 2.0]])
         np.testing.assert_allclose(got, expect, rtol=1e-14)
 
@@ -204,13 +241,6 @@ class TestRegionExtraction:
         m[12:15, 12:16] = 1.0  # 12 pixels
         box, _ = region_from_threshold(m, tau=0.5)
         assert box == BBox(x=2, y=2, w=6, h=5)
-
-    def test_union_mode_spans_both(self):
-        m = np.zeros((20, 20))
-        m[2:7, 2:8] = 1.0
-        m[12:15, 12:16] = 1.0
-        box, _ = region_from_threshold(m, tau=0.5, box_mode="union")
-        assert box == BBox(x=2, y=2, w=14, h=13)
 
     def test_diagonal_touch_is_not_connected(self):
         # 4-connectivity: diagonal neighbors are separate components
@@ -294,7 +324,7 @@ class TestLocalizationAccuracy:
     def test_heatmap_to_box_pipeline(self):
         raw = np.zeros((8, 8))
         raw[2:4, 2:4] = 1.0
-        heat = Heatmap(raw=raw, normalized=raw, class_idx=0, tap="pre_pool_activations")
+        heat = Heatmap(raw=raw, normalized=raw, class_idx=0)
         box, up = heatmap_to_box(heat, (64, 64), tau=0.5)
         assert up.shape == (64, 64)
         assert box is not None
