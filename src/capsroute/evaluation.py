@@ -3,18 +3,19 @@
 localization scoring.
 
 Grad-CAM here targets a class score (an output-capsule norm) and comes
-from the score tail only: an untaped eval forward gives the pre-pool
-activations, and only the tail from there to the scores (pool, primary
-capsules, FC routing, norm) is taped and differentiated. Each pre-pool
-activation is weighted by the score's gradient at its own position, and
-the map is the ReLU of the weighted channel sum, max-normalized to
-[0, 1]. Where the gradient is spatially constant this is Grad-CAM's
-spatial-mean channel weighting; the routed head has no global pooling, so
-its gradient differs per primary-capsule cell, and averaging it would add
-each channel's spatial mean as a constant floor under the map (the
-position-wise form is HiResCAM's). "Important region" extraction keeps pixels
-above tau on the normalized map and boxes the largest 4-connected
-component. IoBB divides the intersection area by the detected box's area.
+from the score tail only: an untaped eval pass up to the head conv
+(`Network.pre_pool`) gives the pre-pool activations, and only the tail
+from there to the scores (pool, primary capsules, FC routing, norm) is
+taped and differentiated. Each pre-pool activation is weighted by the
+score's gradient at its own position, and the map is the ReLU of the
+weighted channel sum, max-normalized to [0, 1]. Where the gradient is
+spatially constant this is Grad-CAM's spatial-mean channel weighting;
+the routed head has no global pooling, so its gradient differs per
+primary-capsule cell, and averaging it would add each channel's spatial
+mean as a constant floor under the map (the position-wise form is
+HiResCAM's). "Important region" extraction keeps pixels above tau on the
+normalized map and boxes the largest 4-connected component. IoBB
+divides the intersection area by the detected box's area.
 """
 
 from __future__ import annotations
@@ -106,12 +107,12 @@ def grad_cam(net, image: np.ndarray, class_idx: int) -> Heatmap:
     """Gradient-weighted class activation map for one prepared image.
 
     `image` is a single network-ready (H, W) or (1, H, W) input (already
-    standardized). An untaped eval forward yields the pre-pool
-    activations; they become the leaf of a tape that runs only
-    `net.head_tail` and back-propagates the one-hot class score, so no
-    gradient reaches the stem, dense blocks or head conv. The target is
-    the class score itself, so a class whose capsule is exactly zero
-    yields an all-zero map.
+    standardized). An untaped eval `net.pre_pool` yields the pre-pool
+    activations, so the tail runs once; they become the leaf of a tape
+    that runs only `net.head_tail` and back-propagates the one-hot class
+    score, so no gradient reaches the stem, dense blocks or head conv. The
+    target is the class score itself, so a class whose capsule is exactly
+    zero yields an all-zero map.
     """
     img = np.asarray(image)
     if img.ndim == 2:
@@ -119,8 +120,7 @@ def grad_cam(net, image: np.ndarray, class_idx: int) -> Heatmap:
     x = img[None]  # (1, 1, H, W)
     if class_idx < 0 or class_idx >= net.config.n_classes:
         raise EvalError(f"class index {class_idx} out of range for {net.config.n_classes} classes")
-    _, taps = net.forward(Tensor(x, dtype=net.config.dtype), mode="eval")
-    act = Tensor(taps["pre_pool_activations"].data, requires_grad=True)
+    act = Tensor(net.pre_pool(Tensor(x, dtype=net.config.dtype), mode="eval").data, requires_grad=True)
     with Tape() as tape:
         scores = net.head_tail(act)
         onehot = np.zeros(scores.shape)

@@ -273,6 +273,14 @@ class Network:
         `coupling_trace`, when a dict, collects every routed layer's
         per-iteration coupling tensors under the layer's name.
         """
+        pre_pool = self.pre_pool(batch, mode, coupling_trace)
+        return self.head_tail(pre_pool, coupling_trace), {"pre_pool_activations": pre_pool}
+
+    def pre_pool(self, batch, mode: str = "train", coupling_trace: dict | None = None) -> Tensor:
+        """The head conv's output: stem, dense blocks, head BN-ReLU and 9x9
+
+        conv, everything `forward` runs before `head_tail`.
+        """
         x = batch if isinstance(batch, Tensor) else Tensor(batch, dtype=self.config.dtype)
         if x.ndim != 4 or x.shape[2] != self.config.input_size or x.shape[3] != self.config.input_size:
             raise ConfigError(
@@ -288,8 +296,7 @@ class Network:
                 x = concat([x, self.composite_layer(x, lay, mode, coupling_trace)], axis=1)
 
         x = relu(batchnorm(x, self.head_bn_gamma, self.head_bn_beta, self.head_bn_state, mode))
-        pre_pool = conv2d(x, self.head_conv, stride=1, padding="same")
-        return self.head_tail(pre_pool, coupling_trace), {"pre_pool_activations": pre_pool}
+        return conv2d(x, self.head_conv, stride=1, padding="same")
 
     def composite_layer(self, feats: Tensor, lay: _CompositeLayer, mode: str, coupling_trace: dict | None = None) -> Tensor:
         """One dense-block step: BN-ReLU-1x1-BN-ReLU-3x3 conv, where the 1x1

@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .tensor import Tensor, einsum2, mul, record, relu, softmax_lastdim, tsum
+from .tensor import Tensor, _contract, einsum2, mul, record, relu, softmax_lastdim, tsum
 
 __all__ = [
     "Conv1x1CapsuleParams",
@@ -147,9 +147,9 @@ def coupling_softmax(b: np.ndarray) -> np.ndarray:
     output index (last axis), stabilized by row-max subtraction.
     """
     b = np.asarray(b)
-    z = b - b.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(b, b.max(axis=-1, keepdims=True), dtype=np.result_type(b.dtype, np.float32))
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def gram(features) -> np.ndarray:
@@ -188,7 +188,7 @@ def _agreement_terms(G: np.ndarray, W: np.ndarray, c: np.ndarray):
     abort; small negatives clamp to zero.
     """
     Wc = W * c
-    M = np.einsum("...li,...lj->...ij", G, Wc)
+    M = _contract("...li,...lj->...ij", G, Wc)
     A = W * M
     n2 = np.sum(c * A, axis=-2)
     _check_norms(n2, G, W)
@@ -203,8 +203,8 @@ def _gram_step(c: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def _fc_step(c: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
     """FC evidence update u_hat_ij . squash(sum_i c_ij u_hat_ij)."""
-    s = np.einsum("bnj,bnjd->bjd", c, u_hat)
-    return np.einsum("bnjd,bjd->bnj", u_hat, _squash_np(s, axis=-1))
+    s = _contract("bnj,bnjd->bjd", c, u_hat)
+    return _contract("bnjd,bjd->bnj", u_hat, _squash_np(s, axis=-1))
 
 
 def _iterate(step, operands, shape, dtype, n_steps: int, trace: Optional[list] = None) -> np.ndarray:

@@ -8,6 +8,7 @@ product, and `backward` replays the records in reverse.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -380,26 +381,106 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), vjp)
 
 
+def _parse_spec(spec: str, a_ndim: int, b_ndim: int) -> tuple[str, str, str]:
+    """Split a two-operand spec into its subscripts, spelling a leading
+
+    "..." out as letters the spec does not use, right-aligned as numpy
+    aligns them.
+    """
+    lhs, out_sub = spec.replace(" ", "").split("->")
+    a_sub, b_sub = lhs.split(",")
+    spare = "".join(ch for ch in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if ch not in spec)
+    a_rank, b_rank = (ndim - len(sub) + 3 if "..." in sub else 0 for sub, ndim in ((a_sub, a_ndim), (b_sub, b_ndim)))
+    width = max(a_rank, b_rank, 0)
+    return (
+        a_sub.replace("...", spare[width - a_rank : width]),
+        b_sub.replace("...", spare[width - b_rank : width]),
+        out_sub.replace("...", spare[:width]),
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _matmul_plan(spec: str, a_shape: tuple, b_shape: tuple):
+    """How `_contract` maps `spec` onto one batched matmul (shapes only, no data).
+
+    Indices in both operands and the output are batch axes, those in one
+    operand and the output are free (rows from one operand, columns from
+    the other), and those in both operands only are summed. Each operand
+    is transposed to (batch..., free, summed) or (batch..., summed, free)
+    order, its free and its summed axes each reshaped into one. Batch axes
+    stay apart: matmul loops over them at any strides, where merging them
+    would copy an operand whose batch axes are not adjacent in memory. The
+    operands swap sides when that makes the product come out in the
+    output's axis order. Returns (swap, a_axes, a_nd, b_axes, b_nd,
+    out_nd, out_axes).
+    """
+    a_sub, b_sub, out_sub = _parse_spec(spec, len(a_shape), len(b_shape))
+    for sub, shape in ((a_sub, a_shape), (b_sub, b_shape)):
+        if len(sub) != len(shape) or len(set(sub)) != len(sub):
+            raise ShapeError(f"spec {spec!r} does not fit operand shape {shape} (subscripts {sub!r})")
+    if len(set(out_sub)) != len(out_sub) or not set(out_sub) <= set(a_sub) | set(b_sub):
+        raise ShapeError(f"spec {spec!r} has a repeated or unknown output index")
+    for sub, other in ((a_sub, b_sub), (b_sub, a_sub)):
+        if not set(sub) <= set(out_sub) | set(other):
+            raise ShapeError(f"spec {spec!r} sums an index over one operand only")
+    size = dict(zip(a_sub, a_shape))
+    for ch, n in zip(b_sub, b_shape):
+        if size.setdefault(ch, n) != n:
+            raise ShapeError(f"index {ch!r} of spec {spec!r} has extents {size[ch]} and {n}")
+
+    batch = [ch for ch in out_sub if ch in a_sub and ch in b_sub]
+    left = [ch for ch in out_sub if ch not in b_sub]
+    right = [ch for ch in out_sub if ch not in a_sub]
+    summed = [ch for ch in a_sub if ch not in out_sub]
+    nb = tuple(size[ch] for ch in batch)
+    nl, nr, ns = (int(np.prod([size[ch] for ch in grp])) for grp in (left, right, summed))
+    swap = batch + left + right != list(out_sub) and batch + right + left == list(out_sub)
+    if swap:  # (batch, right, summed) @ (batch, summed, left)
+        a_order, a_nd = batch + summed + left, nb + (ns, nl)
+        b_order, b_nd = batch + right + summed, nb + (nr, ns)
+        mid = batch + right + left
+    else:  # (batch, left, summed) @ (batch, summed, right)
+        a_order, a_nd = batch + left + summed, nb + (nl, ns)
+        b_order, b_nd = batch + summed + right, nb + (ns, nr)
+        mid = batch + left + right
+    return (
+        swap,
+        tuple(a_sub.index(ch) for ch in a_order),
+        a_nd,
+        tuple(b_sub.index(ch) for ch in b_order),
+        b_nd,
+        tuple(size[ch] for ch in mid),
+        tuple(mid.index(ch) for ch in out_sub),
+    )
+
+
+def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two-operand einsum as one batched matmul, planned once per spec and shapes."""
+    swap, a_axes, a_nd, b_axes, b_nd, out_nd, out_axes = _matmul_plan(spec, a.shape, b.shape)
+    x = a.transpose(a_axes).reshape(a_nd)
+    y = b.transpose(b_axes).reshape(b_nd)
+    out = np.matmul(y, x) if swap else np.matmul(x, y)
+    return out.reshape(out_nd).transpose(out_axes)
+
+
 def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
     """Two-operand einsum with automatic backward.
 
     Requires every index of each operand to appear in the output or in the
     other operand, so that each input gradient is itself a two-operand
-    einsum of the output gradient and the sibling input.
+    einsum of the output gradient and the sibling input. The forward and
+    both gradients each run as one batched matmul.
     """
+    out = Tensor(_contract(spec, a.data, b.data))
     lhs, out_sub = spec.replace(" ", "").split("->")
     a_sub, b_sub = lhs.split(",")
-    for sub, other in ((a_sub, b_sub), (b_sub, a_sub)):
-        if not set(sub) <= set(out_sub) | set(other):
-            raise ShapeError(f"einsum2 cannot differentiate spec {spec!r}")
-    out = Tensor(np.einsum(spec, a.data, b.data))
 
     def vjp(g):
         ga = gb = None
         if a.requires_grad:
-            ga = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data)
+            ga = _contract(f"{out_sub},{b_sub}->{a_sub}", g, b.data)
         if b.requires_grad:
-            gb = np.einsum(f"{a_sub},{out_sub}->{b_sub}", a.data, g)
+            gb = _contract(f"{a_sub},{out_sub}->{b_sub}", a.data, g)
         return (ga, gb)
 
     return record(out, (a, b), vjp)

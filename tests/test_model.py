@@ -242,3 +242,30 @@ class TestEndToEndGradient:
             for name, p in net.parameters().items():
                 err = finite_diff_check(lambda _t: loss(), p, max_coords=20, seed=21)
                 assert err <= 1e-3, f"{name}: {err}"
+
+
+class TestNoEinsumFallback:
+    @pytest.mark.parametrize("make", [build_network, baseline_variant])
+    def test_desk_step_predict_and_cam_avoid_np_einsum(self, make, monkeypatch):
+        # every contraction runs as a batched matmul; np.einsum's unblocked
+        # loop is what a spec would silently fall back to
+        from capsroute.evaluation import grad_cam
+        from capsroute.training import AdamState, CurriculumSchedule, LossConfig, train_epoch
+
+        cfg = desk_config(
+            down_channels=(16, 16), layers_per_block=4, growth_rate=8, bottleneck_width=4,
+            head_channels=32, routing_iters=3, caps_dim_class=16, n_classes=4, dtype="f32",
+        )
+        net = make(cfg, seed=22)
+        rng = np.random.default_rng(23)
+        data = [(rng.random((64, 64)), np.eye(4)[i % 4]) for i in range(4)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        sched = CurriculumSchedule.from_labels(np.stack([d[1] for d in data]))
+        m = train_epoch(net, data, LossConfig(), sched, AdamState(), 0, 4, np.random.default_rng(24))
+        assert np.isfinite(m.mean_loss)
+        assert net.predict(np.stack([d[0] for d in data[:2]])).shape == (2, 4)
+        assert grad_cam(net, data[0][0], 1).raw.shape == (8, 8)

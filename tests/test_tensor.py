@@ -298,6 +298,105 @@ class TestBackwardBasics:
 
 
 # ---------------------------------------------------------------------------
+# einsum2 against numpy's einsum
+# ---------------------------------------------------------------------------
+
+# every spec the package contracts, at extents that differ per index
+EINSUM2_SPECS = [
+    "bis,bls->bil",
+    "bij,bis->bjs",
+    "bli,blj->bij",
+    "bnd,njde->bnje",
+    "bnj,bnjd->bjd",
+    "bnjd,bjd->bnj",
+    "ij,jk->ik",
+]
+EXTENT = dict(b=3, i=5, j=4, l=6, s=7, n=6, d=3, e=2, k=4)
+
+
+def _einsum2_case(spec, dtype, seed, a=None, b=None):
+    """einsum2's output and both input gradients for the upstream gradient
+
+    G, next to np.einsum's in f64, with a bound of 4 * K * eps(dtype) times
+    the same contraction of absolute values (K terms per sum).
+    """
+    lhs, out_sub = spec.split("->")
+    a_sub, b_sub = lhs.split(",")
+    rng = np.random.default_rng(seed)
+    if a is None:
+        a = rng.standard_normal([EXTENT[ch] for ch in a_sub]).astype(dtype)
+    if b is None:
+        b = rng.standard_normal([EXTENT[ch] for ch in b_sub]).astype(dtype)
+    G = rng.standard_normal(np.einsum(spec, a, b).shape).astype(dtype)
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        out = einsum2(spec, ta, tb)
+        backward(tape, (out * Tensor(G)).sum())
+    eps = np.finfo(dtype).eps
+    checks = []
+    for got, sub_spec, x, y in (
+        (out.data, spec, a, b),
+        (ta.grad, f"{out_sub},{b_sub}->{a_sub}", G, b),
+        (tb.grad, f"{a_sub},{out_sub}->{b_sub}", a, G),
+    ):
+        ins, res = sub_spec.split("->")
+        x_sub, y_sub = ins.split(",")
+        terms = int(np.prod([EXTENT[ch] for ch in set(x_sub) & set(y_sub) - set(res)]))
+        x64, y64 = x.astype(np.float64), y.astype(np.float64)
+        want = np.einsum(sub_spec, x64, y64)
+        bound = 4 * terms * eps * np.einsum(sub_spec, np.abs(x64), np.abs(y64))
+        checks.append((got, want, bound))
+    return checks
+
+
+class TestEinsum2:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec", EINSUM2_SPECS)
+    def test_forward_and_vjps_match_numpy(self, spec, dtype):
+        for got, want, bound in _einsum2_case(spec, dtype, seed=len(spec)):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stride_zero_broadcast_operand(self, dtype):
+        # the baseline's plain 1x1 contracts a weight matrix broadcast over the batch
+        w = np.random.default_rng(30).standard_normal((5, 4)).astype(dtype)
+        wb = np.broadcast_to(w, (3, 5, 4))
+        assert wb.strides[0] == 0
+        for got, want, bound in _einsum2_case("bij,bis->bjs", dtype, seed=31, a=wb):
+            assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_aliased_operand(self, dtype):
+        # the Gram build passes one tensor as both operands; its gradient
+        # is the sum of both VJPs
+        rng = np.random.default_rng(32)
+        F = rng.standard_normal((3, 5, 7)).astype(dtype)
+        G = rng.standard_normal((3, 5, 5)).astype(dtype)
+        t = Tensor(F, requires_grad=True)
+        with Tape() as tape:
+            out = einsum2("bis,bls->bil", t, t)
+            backward(tape, (out * Tensor(G)).sum())
+        F64, G64 = F.astype(np.float64), G.astype(np.float64)
+        want_out = np.einsum("bis,bls->bil", F64, F64)
+        want_grad = np.einsum("bil,bls->bis", G64, F64) + np.einsum("bis,bil->bls", F64, G64)
+        eps = np.finfo(dtype).eps
+        bound_out = 4 * 7 * eps * np.einsum("bis,bls->bil", np.abs(F64), np.abs(F64))
+        bound_grad = 8 * 5 * eps * np.einsum("bil,bls->bis", np.abs(G64) + np.abs(G64).transpose(0, 2, 1), np.abs(F64))
+        assert np.all(np.abs(out.data - want_out) <= bound_out)
+        assert np.all(np.abs(t.grad - want_grad) <= bound_grad)
+
+    def test_malformed_specs_rejected(self):
+        a = Tensor(np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            einsum2("ij,jk->ik", a, Tensor(np.ones((4, 2))))  # j is 3 and 4
+        with pytest.raises(ShapeError):
+            einsum2("ij,kl->ik", a, Tensor(np.ones((2, 2))))  # j summed over one operand only
+        with pytest.raises(ShapeError):
+            einsum2("ijk,jk->ik", a, Tensor(np.ones((3, 2))))  # three subscripts, two axes
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 
@@ -360,6 +459,14 @@ class TestFiniteDiff:
         assert finite_diff_check(lambda t: (softmax_lastdim(t) * softmax_lastdim(t)).sum(), c) <= 1e-4
         v = Tensor(rng.standard_normal((4, 3)) + 0.5)
         assert finite_diff_check(lambda t: vec_norm(t, axis=-1).sum(), v) <= 1e-4
+        # a batched spec, the routed 1x1 combination, under a squared loss
+        cw = Tensor(rng.standard_normal((2, 3, 4)))
+        f = Tensor(rng.standard_normal((2, 3, 5)))
+        for fn, x in (
+            (lambda t: einsum2("bij,bis->bjs", t, f), cw),
+            (lambda t: einsum2("bij,bis->bjs", cw, t), f),
+        ):
+            assert finite_diff_check(lambda t: (fn(t) * fn(t)).sum(), x) <= 1e-4
 
     def test_composed_network_piece(self):
         # conv -> relu -> pool -> sum, checked against central differences
