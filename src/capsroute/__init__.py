@@ -8,8 +8,6 @@ from .routing import (
     FcCapsuleParams,
     conv1x1_capsule_forward,
     coupling_softmax,
-    gram,
-    route_conv1x1_kernel,
     route_conv1x1_naive,
     route_fc,
     squash,

@@ -40,9 +40,8 @@ from .model import ConfigError, Network, NetworkConfig, baseline_variant, build_
 from .routing import (
     Conv1x1CapsuleParams,
     RoutingError,
+    conv1x1_capsule_forward,
     frozen_routing,
-    gram,
-    route_conv1x1_kernel,
     route_conv1x1_naive,
 )
 from .tensor import Tensor, finite_diff_check
@@ -240,10 +239,6 @@ def _restore_network(ckpt: Checkpoint):
     return net, cfg, baseline
 
 
-def _prepare_dataset(images, labels):
-    return [(img, labels[i]) for i, img in enumerate(images)]
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -256,7 +251,7 @@ def cmd_train(args) -> int:
         cfg.set(key.strip(), value.strip())
     net = _build_from_config(cfg, args.seed, args.baseline)
     images, labels, _ = _load_split(args.manifest, args.images_root, cfg["input_size"], cfg["n_classes"])
-    dataset = _prepare_dataset(images, labels)
+    dataset = list(zip(images, labels))
 
     schedule = CurriculumSchedule.from_labels(labels, switch_epoch=cfg["switch_epoch"])
     loss_cfg = LossConfig(m_plus=cfg["m_plus"], m_minus=cfg["m_minus"])
@@ -361,9 +356,9 @@ def bench_routing(spatial: int, in_maps: int, out_maps: int, iters: int, repeat:
     """Median wall time (ns) per mode for one routed-layer forward.
 
     plain: one unrouted 1x1 combination. naive: full-map routing. kernel:
-    Gram build + iterations + a single final combination; at r=1 the
-    couplings are uniform, so, like the shipped layer, it builds no Gram
-    matrix and times the uniform couplings plus the one combination.
+    the shipped routed layer, `conv1x1_capsule_forward` with grad_mode
+    "none": Gram build + iterations + a single final combination; at r=1
+    the couplings are uniform and it builds no Gram matrix.
     Feature maps are scaled to unit norm like the batch-normalized inputs
     the layer sees in practice; unnormalized maps at large S saturate the
     coupling softmax into subnormal territory and time the FPU's slow path
@@ -385,11 +380,7 @@ def bench_routing(spatial: int, in_maps: int, out_maps: int, iters: int, repeat:
         route_conv1x1_naive(F, params)
 
     def run_kernel():
-        if iters == 1:
-            c = np.full((in_maps, out_maps), 1.0 / out_maps)
-        else:
-            c, _ = route_conv1x1_kernel(gram(F), params)
-        (W * c).T @ F
+        conv1x1_capsule_forward(Tensor(F), params, grad_mode="none")
 
     modes = (("plain", run_plain), ("naive", run_naive), ("kernel", run_kernel))
     times = {mode: [] for mode, _ in modes}
@@ -435,12 +426,13 @@ def _selftest_routing_equivalence(failures):
         S, r = int(rng.integers(1, 128)), int(rng.integers(1, 6))
         F = rng.standard_normal((I, S))
         params = Conv1x1CapsuleParams(rng.standard_normal((I, J)), r)
-        g, c_naive = route_conv1x1_naive(F, params)
-        c_kernel, norms = route_conv1x1_kernel(gram(F), params)
-        if np.abs(c_kernel - c_naive).max() > 1e-9:
+        g_naive, c_naive = route_conv1x1_naive(F, params)
+        trace = []
+        g = conv1x1_capsule_forward(Tensor(F), params, grad_mode="none", trace=trace).data
+        if np.abs(trace[-1][0] - c_naive).max() > 1e-9:
             failures.append(f"routing-equivalence: couplings diverged at seed {seed}")
-        elif np.abs(norms - np.linalg.norm(g, axis=-1)).max() > 1e-9:
-            failures.append(f"routing-equivalence: norms diverged at seed {seed}")
+        elif np.abs(g - g_naive).max() > 1e-9:
+            failures.append(f"routing-equivalence: output maps diverged at seed {seed}")
         else:
             count += 1
     return count, 40
@@ -448,7 +440,6 @@ def _selftest_routing_equivalence(failures):
 
 def _selftest_gradients(failures):
     from .conv import conv2d, pool2d
-    from .routing import conv1x1_capsule_forward
 
     checks = 0
     total = 9

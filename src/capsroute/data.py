@@ -5,7 +5,8 @@ checkpoints.
 File formats:
   manifest  CSV with header `path,labels,boxes`; labels are `;`-separated
             class indices (may be empty), boxes `;`-separated
-            `class:x:y:w:h` tuples in source-image pixels.
+            `class:x:y:w:h` tuples in source-image pixels, with
+            x, y >= 0 and w, h >= 1.
   image     binary PGM (P5), maxval 255.
   checkpoint text header (magic CAPS, version, config echo, tensor
             directory), then raw little-endian IEEE-754 buffers.
@@ -72,10 +73,18 @@ def _parse_boxes(text: str, lineno: int) -> tuple:
         if len(parts) != 5:
             raise DataError(f"line {lineno}: bad box {tok!r}, expected class:x:y:w:h")
         try:
-            boxes.append(tuple(int(p) for p in parts))
+            box = tuple(int(p) for p in parts)
         except ValueError:
             raise DataError(f"line {lineno}: bad box {tok!r}, expected integers")
+        if not _box_is_real(box):
+            raise DataError(f"line {lineno}: bad box {tok!r}, needs x, y >= 0 and w, h >= 1")
+        boxes.append(box)
     return tuple(boxes)
+
+
+def _box_is_real(box) -> bool:
+    _, x, y, w, h = box
+    return x >= 0 and y >= 0 and w >= 1 and h >= 1
 
 
 def load_manifest(path) -> list[ManifestEntry]:
@@ -112,6 +121,9 @@ def write_manifest(entries, path) -> None:
     for e in entries:
         if "," in e.path or e.path.splitlines() != [e.path] or e.path != e.path.strip():
             raise DataError(f"image path {e.path!r} cannot be read back: empty, or a comma, line break or edge space")
+        bad = [box for box in e.boxes if not _box_is_real(box)]
+        if bad:
+            raise DataError(f"{e.path}: box {bad[0]} cannot be read back: needs x, y >= 0 and w, h >= 1")
         labels = ";".join(str(i) for i in e.labels)
         boxes = ";".join(":".join(str(v) for v in box) for box in e.boxes)
         lines.append(f"{e.path},{labels},{boxes}")
@@ -355,7 +367,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     ckpt = Checkpoint()
-    directory = []
+    directory = {}
     total = None
 
     def next_line(pos):
@@ -376,8 +388,12 @@ def load_checkpoint(path) -> Checkpoint:
         line, pos = next_line(pos)
         if line.startswith("config "):
             key, _, value = line[len("config ") :].partition("=")
+            if key in ckpt.config:
+                raise DataError(f"{path}: config key {key!r} appears twice")
             ckpt.config[key] = value
         elif line.startswith("rng "):
+            if ckpt.rng_state is not None:
+                raise DataError(f"{path}: rng line appears twice")
             ckpt.rng_state = line[len("rng ") :]
         elif line.startswith("tensor "):
             try:
@@ -388,7 +404,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise DataError(f"{path}: malformed tensor line {line!r}")
             if min((offset, nbytes) + shape) < 0:
                 raise DataError(f"{path}: tensor {name} has a negative offset, byte count or extent")
-            directory.append((name, tag, shape, offset, nbytes))
+            if name in directory:
+                raise DataError(f"{path}: tensor {name} appears twice")
+            directory[name] = (tag, shape, offset, nbytes)
         elif line.startswith("data "):
             if not line[len("data ") :].isdigit():
                 raise DataError(f"{path}: malformed data line {line!r}")
@@ -399,7 +417,7 @@ def load_checkpoint(path) -> Checkpoint:
     blob = raw[pos:]
     if total is None or len(blob) != total:
         raise DataError(f"{path}: payload has {len(blob)} bytes, directory says {total}")
-    for name, tag, shape, offset, nbytes in directory:
+    for name, (tag, shape, offset, nbytes) in directory.items():
         if tag not in _TAG_DTYPES:
             raise DataError(f"{path}: tensor {name} has unknown dtype tag {tag!r}")
         expected = int(np.prod(shape)) if shape else 1

@@ -17,8 +17,7 @@ or Gram matrices.
 
 The 1x1 and FC layers differ only in their evidence update, which each
 gives as a numpy step and a taped step. `_iterate` is the one detached
-routing loop and `_route` the one coupling schedule; the spec-level
-`route_conv1x1_kernel` runs the same loop as the layer.
+routing loop and `_route` the one coupling schedule.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ __all__ = [
     "conv1x1_capsule_forward",
     "coupling_softmax",
     "frozen_routing",
-    "gram",
-    "route_conv1x1_kernel",
     "route_conv1x1_naive",
     "route_fc",
     "squash",
@@ -152,21 +149,6 @@ def coupling_softmax(b: np.ndarray) -> np.ndarray:
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
-def gram(features) -> np.ndarray:
-    """Pairwise inner products G[l, i] = f_l . f_i of the input maps.
-
-    Computed once per layer per sample; each off-diagonal product is
-    shared across the matrix so G is exactly symmetric.
-    """
-    F = np.asarray(features, dtype=np.float64)
-    if F.ndim == 1:
-        F = F[None, :]
-    if F.ndim != 2 or F.shape[0] == 0:
-        raise RoutingError(f"expected a non-empty (I, S) stack of feature maps, got shape {F.shape}")
-    upper = np.triu(F @ F.T)
-    return upper + np.triu(upper, 1).T
-
-
 def _check_norms(n2: np.ndarray, G: np.ndarray, W: np.ndarray) -> None:
     """Abort when a recovered |g_j|^2 lies below its rounding band, I * eps *
 
@@ -219,7 +201,7 @@ def _iterate(step, operands, shape, dtype, n_steps: int, trace: Optional[list] =
 
 
 # ---------------------------------------------------------------------------
-# Routing paths (per-sample, spec-level API)
+# Full-map reference path (per sample)
 # ---------------------------------------------------------------------------
 
 
@@ -248,27 +230,6 @@ def route_conv1x1_naive(features, params: Conv1x1CapsuleParams, trace: Optional[
         if it + 1 < params.iterations:  # the last update would go unread
             b = b + (F @ _squash_np(g, axis=-1).T) * W
     return g, c
-
-
-def route_conv1x1_kernel(G, params: Conv1x1CapsuleParams, trace: Optional[list] = None):
-    """Gram-matrix routing: iterations never touch the feature maps.
-
-    Returns (c, norms): the final couplings and the recovered output-map
-    norms |g_j|. Couplings match the naive path for the same weights and
-    iteration count.
-    """
-    G = np.asarray(G, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise RoutingError(f"Gram matrix must be square, got shape {G.shape}")
-    W = params.weights.data.astype(np.float64)
-    if G.shape[0] != W.shape[0]:
-        raise RoutingError(f"Gram matrix is {G.shape[0]}x{G.shape[0]} but weights expect {W.shape[0]} maps")
-    b = _iterate(_gram_step, (G, W), W.shape, G.dtype, params.iterations - 1, trace)
-    c = coupling_softmax(b)
-    if trace is not None:
-        trace.append(c.copy())
-    _, n2 = _agreement_terms(G, W, c)
-    return c, np.sqrt(n2)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,6 @@ from capsroute.routing import (
     FcCapsuleParams,
     conv1x1_capsule_forward,
     frozen_routing,
-    gram,
-    route_conv1x1_kernel,
     route_conv1x1_naive,
     route_fc,
     squash,
@@ -160,7 +158,7 @@ def trained_routed(desk_data):
 def test_c1_routing_equivalence():
     rng = np.random.default_rng(1001)
     t0 = time.monotonic()
-    worst_c = worst_n = 0.0
+    worst_c = worst_g = worst_n = 0.0
     n_instances = 200
     for _ in range(n_instances):
         I = int(rng.integers(1, 33))
@@ -169,15 +167,20 @@ def test_c1_routing_equivalence():
         r = int(rng.integers(1, 6))
         F = rng.standard_normal((I, S))
         params = Conv1x1CapsuleParams(rng.standard_normal((I, J)), r)
-        g, c_naive = route_conv1x1_naive(F, params)
-        c_kernel, norms = route_conv1x1_kernel(gram(F), params)
-        worst_c = max(worst_c, float(np.abs(c_kernel - c_naive).max()))
-        worst_n = max(worst_n, float(np.abs(norms - np.linalg.norm(g, axis=-1)).max()))
+        g_naive, c_naive = route_conv1x1_naive(F, params)
+        for mode in ("none", "last"):
+            trace = []
+            g = conv1x1_capsule_forward(Tensor(F), params, grad_mode=mode, trace=trace).data
+            worst_c = max(worst_c, float(np.abs(trace[-1][0] - c_naive).max()))
+            worst_g = max(worst_g, float(np.abs(g - g_naive).max()))
+            norms, norms_naive = np.linalg.norm(g, axis=-1), np.linalg.norm(g_naive, axis=-1)
+            worst_n = max(worst_n, float(np.abs(norms - norms_naive).max()))
     elapsed = time.monotonic() - t0
     check(
-        "criterion 1: kernel-trick routing matches the naive oracle",
-        worst_c <= 1e-9 and worst_n <= 1e-9 and elapsed < 60.0,
-        f"{n_instances} instances, max coupling diff {worst_c:.2e}, max norm diff {worst_n:.2e}, {elapsed:.1f}s",
+        "criterion 1: the shipped Gram-routed layer matches the naive oracle",
+        worst_c <= 1e-9 and worst_g <= 1e-9 and worst_n <= 1e-9 and elapsed < 60.0,
+        f"{n_instances} instances x 2 grad modes, max coupling diff {worst_c:.2e}, "
+        f"max map diff {worst_g:.2e}, max norm diff {worst_n:.2e}, {elapsed:.1f}s",
     )
 
 
@@ -423,15 +426,12 @@ def test_c4_squash_softmax_invariants():
         J = int(rng.integers(1, 10))
         F = rng.standard_normal((I, int(rng.integers(1, 80))))
         params = Conv1x1CapsuleParams(rng.standard_normal((I, J)), int(rng.integers(1, 6)))
-        for path, args in (("kernel", gram(F)), ("naive", F)):
-            trace = []
-            if path == "kernel":
-                route_conv1x1_kernel(args, params, trace=trace)
-            else:
-                route_conv1x1_naive(args, params, trace=trace)
-            for c in trace:
-                worst_row = max(worst_row, float(np.abs(c.sum(axis=-1) - 1.0).max()))
-                min_c = min(min_c, float(c.min()))
+        trace = []
+        conv1x1_capsule_forward(Tensor(F), params, grad_mode="none", trace=trace)
+        route_conv1x1_naive(F, params, trace=trace)
+        for c in trace:
+            worst_row = max(worst_row, float(np.abs(c.sum(axis=-1) - 1.0).max()))
+            min_c = min(min_c, float(c.min()))
 
     # every routed layer of a full network forward, every iteration
     cfg = NetworkConfig(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import capsroute.cli as cli
+from capsroute import routing
 from capsroute.cli import RunConfig, bench_routing, main
 from capsroute.data import DataError, load_checkpoint, load_manifest, load_pgm, save_checkpoint
 from capsroute.evaluation import auc
@@ -328,6 +329,32 @@ class TestBench:
         assert res["kernel"] <= 2 * res["plain"], res
 
 
+class TestShippedLayer:
+    """`bench`'s kernel mode and `selftest` run the shipped routed layer."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        real = cli.conv1x1_capsule_forward
+
+        def counting(*args, **kwargs):
+            counted.append(kwargs.get("grad_mode"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "conv1x1_capsule_forward", counting)
+        return counted
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_bench_kernel_mode_runs_the_layer(self, calls, iters):
+        bench_routing(spatial=64, in_maps=4, out_maps=3, iters=iters, repeat=2)
+        # one warm-up and one timed call per round
+        assert calls == ["none"] * 4
+
+    def test_selftest_runs_the_layer(self, calls, capsys):
+        assert main(["selftest"]) == 0
+        assert calls.count("none") >= 40
+
+
 class TestSelftest:
     def test_passes_on_fresh_build(self, capsys):
         assert main(["selftest"]) == 0
@@ -336,14 +363,14 @@ class TestSelftest:
             assert suite in out
 
     def test_injected_bug_fails_with_seeds(self, monkeypatch, capsys):
-        # corrupt the Gram matrix the kernel path consumes: the
-        # equivalence suite must notice and name failing seeds
-        real_gram = cli.gram
+        # corrupt the Gram-space evidence update the shipped layer runs:
+        # the equivalence suite must notice and name failing seeds
+        real_step = routing._gram_step
 
-        def bad_gram(F):
-            return real_gram(F) * 1.001
+        def bad_step(c, G, W):
+            return real_step(c, G, W) * 1.001
 
-        monkeypatch.setattr(cli, "gram", bad_gram)
+        monkeypatch.setattr(routing, "_gram_step", bad_step)
         assert main(["selftest"]) == 2
         err = capsys.readouterr().err
         assert "routing-equivalence" in err and "seed" in err

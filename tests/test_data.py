@@ -73,6 +73,16 @@ class TestManifest:
         with pytest.raises(DataError, match="image path"):
             write_manifest([ManifestEntry(path, (0,))], tmp_path / "m.csv")
 
+    @pytest.mark.parametrize("box", ["0:3:4:0:-2", "0:3:4:0:5", "0:3:4:5:0", "0:-1:4:5:5", "0:3:-4:5:5"])
+    def test_impossible_box_rejected(self, tmp_path, box):
+        p = tmp_path / "m.csv"
+        p.write_text(f"path,labels,boxes\na.pgm,0,{box}\n")
+        with pytest.raises(DataError, match="line 2"):
+            load_manifest(p)
+        entry = ManifestEntry("a.pgm", (0,), (tuple(int(v) for v in box.split(":")),))
+        with pytest.raises(DataError, match="box"):
+            write_manifest([entry], tmp_path / "w.csv")
+
     def test_duplicate_path_warns(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("path,labels,boxes\na.pgm,,\na.pgm,1,\n")
@@ -267,6 +277,9 @@ class TestCheckpoint:
             ("tensor b f64 2 32 16", "tensor b f64 2 40 16"),
             ("tensor b f64 2 32 16", "tensor b f64 2 32 -16"),
             ("data 48", "data -48"),
+            ("tensor b f64 2 32 16", "tensor a f64 2 32 16"),  # a second `a` would read b's bytes
+            pytest.param("tensor a f64 4 0 32", "config k=1\nconfig k=2\ntensor a f64 4 0 32", id="config-twice"),
+            pytest.param("tensor a f64 4 0 32", "rng 1\nrng 2\ntensor a f64 4 0 32", id="rng-twice"),
         ],
     )
     def test_hostile_directory_rejected(self, tmp_path, good, bad):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from capsroute import routing
 from capsroute.conv import conv2d
 from capsroute.routing import (
     Conv1x1CapsuleParams,
@@ -14,8 +15,6 @@ from capsroute.routing import (
     conv1x1_capsule_forward,
     coupling_softmax,
     frozen_routing,
-    gram,
-    route_conv1x1_kernel,
     route_conv1x1_naive,
     route_fc,
     squash,
@@ -164,41 +163,6 @@ class TestCouplingSoftmax:
 
 
 # ---------------------------------------------------------------------------
-# gram
-# ---------------------------------------------------------------------------
-
-
-class TestGram:
-    def test_orthonormal_maps_give_identity(self):
-        F = np.eye(4)
-        np.testing.assert_allclose(gram(F), np.eye(4), rtol=0, atol=1e-15)
-
-    def test_hand_dot_products(self):
-        G = gram(np.array([[1.0, 0.0], [1.0, 1.0]]))
-        np.testing.assert_array_equal(G, [[1.0, 1.0], [1.0, 2.0]])
-
-    def test_matches_pairwise_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        F = rng.standard_normal((6, 17))
-        expect = np.zeros((6, 6))
-        for l in range(6):
-            for i in range(6):
-                expect[l, i] = sum(F[l, s] * F[i, s] for s in range(17))
-        np.testing.assert_allclose(gram(F), expect, rtol=1e-12, atol=1e-12)
-
-    def test_exactly_symmetric_and_psd(self):
-        rng = np.random.default_rng(4)
-        F = rng.standard_normal((8, 30))
-        G = gram(F)
-        np.testing.assert_array_equal(G, G.T)
-        assert np.linalg.eigvalsh(G).min() >= -1e-9
-
-    def test_empty_rejected(self):
-        with pytest.raises(RoutingError):
-            gram(np.zeros((0, 5)))
-
-
-# ---------------------------------------------------------------------------
 # naive routing path
 # ---------------------------------------------------------------------------
 
@@ -250,8 +214,18 @@ class TestNaiveRouting:
 
 
 # ---------------------------------------------------------------------------
-# kernel (Gram) routing path
+# Gram-matrix routing in the shipped layer
 # ---------------------------------------------------------------------------
+
+
+def _layer_route(F, params, trace=None):
+    """Route one (I, S) sample through the shipped layer with grad_mode "none".
+
+    Returns (g, c): its output maps and its final couplings.
+    """
+    trace = [] if trace is None else trace
+    g = conv1x1_capsule_forward(Tensor(F), params, grad_mode="none", trace=trace)
+    return g.data, trace[-1][0]
 
 
 class TestKernelRouting:
@@ -259,9 +233,9 @@ class TestKernelRouting:
         rng = np.random.default_rng(8)
         F = rng.standard_normal((5, 12))
         params = Conv1x1CapsuleParams(np.zeros((5, 3)), iterations=4)
-        c, norms = route_conv1x1_kernel(gram(F), params)
+        g, c = _layer_route(F, params)
         np.testing.assert_allclose(c, 1.0 / 3.0, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(norms, np.zeros(3))
+        np.testing.assert_array_equal(np.linalg.norm(g, axis=-1), np.zeros(3))
 
     def test_orthonormal_features_reduce_agreement_to_wsq_c(self):
         # with G = I the expansion collapses to f_hat . g = W_ij^2 c_ij;
@@ -270,19 +244,20 @@ class TestKernelRouting:
         J = 2
         params = Conv1x1CapsuleParams(W, iterations=2)
         trace = []
-        c, _ = route_conv1x1_kernel(np.eye(3), params, trace=trace)
+        _layer_route(np.eye(3), params, trace=trace)
         A = W * W / J
         n2 = (A / J).sum(axis=0)
         b = A * (np.sqrt(n2) / (1 + n2))
-        np.testing.assert_allclose(trace[1], coupling_softmax(b), rtol=1e-12)
+        np.testing.assert_allclose(trace[1][0], coupling_softmax(b), rtol=1e-12)
 
     def test_frozen_instance_matches_naive(self):
         F = np.array(_FROZEN_F)
         params = Conv1x1CapsuleParams(np.array(_FROZEN_W), 3)
-        g, c_naive = route_conv1x1_naive(F, params)
-        c_kernel, norms = route_conv1x1_kernel(gram(F), params)
-        np.testing.assert_allclose(c_kernel, c_naive, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(norms, np.linalg.norm(g, axis=-1), rtol=0, atol=1e-9)
+        g_naive, c_naive = route_conv1x1_naive(F, params)
+        g, c = _layer_route(F, params)
+        np.testing.assert_allclose(c, c_naive, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(g, g_naive, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(g, axis=-1), np.linalg.norm(g_naive, axis=-1), rtol=0, atol=1e-9)
 
     def test_equivalence_on_random_instances(self):
         rng = np.random.default_rng(9)
@@ -294,11 +269,12 @@ class TestKernelRouting:
             F = rng.standard_normal((I, S))
             params = Conv1x1CapsuleParams(rng.standard_normal((I, J)), r)
             trace_n, trace_k = [], []
-            g, c_naive = route_conv1x1_naive(F, params, trace=trace_n)
-            c_kernel, norms = route_conv1x1_kernel(gram(F), params, trace=trace_k)
-            np.testing.assert_allclose(c_kernel, c_naive, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(norms, np.linalg.norm(g, axis=-1), rtol=0, atol=1e-9)
-            for ck, cn in zip(trace_k, trace_n):
+            g_naive, c_naive = route_conv1x1_naive(F, params, trace=trace_n)
+            g, c = _layer_route(F, params, trace=trace_k)
+            np.testing.assert_allclose(c, c_naive, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(g, g_naive, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(np.linalg.norm(g, axis=-1), np.linalg.norm(g_naive, axis=-1), rtol=0, atol=1e-9)
+            for ck, cn in zip(trace_k, trace_n, strict=True):
                 np.testing.assert_allclose(ck.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(cn.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
@@ -318,12 +294,9 @@ class TestKernelRouting:
                 conv1x1_capsule_forward(Tensor(F[None].astype(np.float32)), params, grad_mode=mode)
         # a corrupted Gram matrix still aborts
         for dt in (np.float32, np.float64):
+            W, c = np.ones((I, J), dtype=dt), np.full((I, J), 1.0 / J, dtype=dt)
             with pytest.raises(RoutingNumericalError):
-                route_conv1x1_kernel(-np.eye(I, dtype=dt), Conv1x1CapsuleParams(np.ones((I, J), dtype=dt), 3))
-
-    def test_non_square_gram_rejected(self):
-        with pytest.raises(RoutingError):
-            route_conv1x1_kernel(np.zeros((3, 4)), Conv1x1CapsuleParams(np.ones((3, 2))))
+                routing._agreement_terms(-np.eye(I, dtype=dt), W, c)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +344,11 @@ class TestConv1x1CapsuleForward:
             for ca, cb in zip(trace_a, trace_b):
                 np.testing.assert_allclose(ca, cb, rtol=0, atol=1e-12)
             for bi in range(3):
-                trace_k = []
-                route_conv1x1_kernel(gram(feats.data[bi]), Conv1x1CapsuleParams(W, r), trace=trace_k)
-                for ck, ca in zip(trace_k, trace_a, strict=True):
-                    np.testing.assert_allclose(ca[bi], ck, rtol=0, atol=1e-12)
+                trace_n = []
+                g_naive, _ = route_conv1x1_naive(feats.data[bi], Conv1x1CapsuleParams(W, r), trace=trace_n)
+                np.testing.assert_allclose(a.data[bi], g_naive, rtol=1e-12, atol=1e-12)
+                for cn, ca in zip(trace_n, trace_a, strict=True):
+                    np.testing.assert_allclose(ca[bi], cn, rtol=0, atol=1e-12)
 
     def test_forward_couplings_match_kernel_path(self):
         rng = np.random.default_rng(13)
@@ -384,9 +358,8 @@ class TestConv1x1CapsuleForward:
             params = Conv1x1CapsuleParams(Tensor(W), r)
             out = conv1x1_capsule_forward(Tensor(feats), params)
             for bi in range(2):
-                c, _ = route_conv1x1_kernel(gram(feats[bi]), params)
-                expect = np.einsum("ij,is->js", W * c, feats[bi])
-                np.testing.assert_allclose(out.data[bi], expect, rtol=1e-9, atol=1e-10)
+                g_naive, _ = route_conv1x1_naive(feats[bi], params)
+                np.testing.assert_allclose(out.data[bi], g_naive, rtol=1e-9, atol=1e-10)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_gradients_match_finite_differences(self, r):
