@@ -1,24 +1,37 @@
 """Convolution, pooling, and batch normalization on BCHW tensors.
 
-Convolutions run as im2col matrix products over a channel-last patch
+`conv2d` has two paths, and `_fft_pays` picks one from the shapes alone.
+The general path runs im2col matrix products over a channel-last patch
 matrix (rows batch x output position, columns window cell x channel); the
-forward and the kernel gradient share it. The input gradient is a
+forward and the kernel gradient share it. Its input gradient is a
 transposed convolution run as one GEMM: the output gradient, with
 stride - 1 zeros inserted between its rows and columns and padded, is
-correlated with the flipped kernel. "same" padding is symmetric
-zero padding with the extra cell on the high side when the deficit is odd;
-output size is ceil(in / stride). Pooling with "same" padding excludes the
-padded cells (max ignores them, average divides by the in-bounds count).
+correlated with the flipped kernel. Stride-1 convolutions whose im2col
+flop count is well above the FFT path's (in the network: the 9x9 head at
+training and predict batches) run as a correlation in the frequency
+domain instead (`_conv2d_fft`, after Mathieu, Henaff & LeCun, arXiv
+1312.5851): rfft2 of the input, one batched complex matmul over channels
+per frequency, irfft2 and a crop; both VJPs stay in the frequency domain.
+"same" padding is symmetric zero padding with the extra cell on the high
+side when the deficit is odd; output size is ceil(in / stride). Pooling
+with "same" padding excludes the padded cells (max ignores them, average
+divides by the in-bounds count).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .tensor import ShapeError, Tensor, record
+
+# im2col flops over FFT-path flops above which `conv2d` takes the FFT
+# path; measured, see `_fft_pays`
+_FFT_CROSSOVER = 3.0
 
 
 def _out_size(n: int, k: int, stride: int, padding: str) -> tuple[int, int, int]:
@@ -59,7 +72,16 @@ def _tap(a: np.ndarray, i: int, j: int, stride: int, oH: int, oW: int) -> np.nda
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
-    """2D convolution (cross-correlation): kernel is (outC, inC, kH, kW)."""
+    """2D convolution (cross-correlation): kernel is (outC, inC, kH, kW).
+
+    Runs as an FFT correlation (`_conv2d_fft`) when `_fft_pays` says so
+    for the shapes, else as im2col GEMMs. The two agree to rounding, but
+    the FFT path rounds and fails globally: in f32 its error is relative
+    to the largest output of the map (≈3e-7 of max|out| at the network's
+    head shapes), not to each output, and a NaN or inf anywhere in an
+    input image makes every output of that image non-finite, where im2col
+    keeps it to the windows that cover the cell.
+    """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4D input and kernel, got {x.shape} and {kernel.shape}")
     B, C, H, W = x.shape
@@ -74,6 +96,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -
 
     oH, pt, pb = _out_size(H, k, stride, padding)
     oW, pl, pr = _out_size(W, k, stride, padding)
+    grid = (next_fast_len(H + max(pt, pb), real=True), next_fast_len(W + max(pl, pr), real=True))
+    if _fft_pays(B, C, O, k, (oH, oW), grid, stride):
+        return _conv2d_fft(x, kernel, (oH, oW), (pt, pl), grid)
+
     xp = np.zeros((B, H + pt + pb, W + pl + pr, C), dtype=x.data.dtype)
     xp[:, pt : pt + H, pl : pl + W] = x.data.transpose(0, 2, 3, 1)
 
@@ -96,6 +122,91 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -
             gz[:, k - 1 - pt : k - 1 - pt + Lh : stride, k - 1 - pl : k - 1 - pl + Lw : stride] = g_last
             kflip = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * O, C)
             gx = (_im2col(gz, k, 1) @ kflip).reshape(B, H, W, C).transpose(0, 3, 1, 2)
+        return (gx, gk)
+
+    return record(out, (x, kernel), vjp)
+
+
+def _fft_pays(B: int, C: int, O: int, k: int, out_hw: tuple, grid: tuple, stride: int) -> bool:
+    """Whether `conv2d` runs these shapes as an FFT correlation: stride 1,
+    and the flops of a forward and backward on im2col (three GEMMs) at
+    least `_FFT_CROSSOVER` times those on the FFT path (2B(C+O) real FFTs
+    at 2.5 N log2 N, three complex matmuls over the half spectrum, and
+    the two kernel DFTs).
+
+    The constant 3 is where the two paths cost the same in a sweep of 160
+    random shapes (B 1-64, C and O 8-64, H 4-32, k 3-9, "same" and
+    "valid"): it lost the least time to wrong picks. Timed ("same", f32,
+    one BLAS thread, 2-vCPU Xeon VM, best of 21 calls, ms forward / backward):
+
+        B, C->O, H, k    use                  flops ratio  im2col         FFT
+        16, 48->32, 32, 9  paper head, train     18.9   151.2 / 178.1   19.5 / 24.4
+        16, 48->32, 8, 9   desk head, train       9.9     4.1 / 8.3      1.8 / 2.4
+        64, 48->32, 8, 9   desk head, predict    13.6    42.7 / 58.4     7.8 / 9.7
+        4, 48->32, 8, 9    desk head, batch 4     4.8     1.3 / 2.0      1.3 / 1.5
+        2, 48->32, 8, 9    desk head, batch 2     2.8     0.65 / 0.92    0.83 / 1.09
+        1, 48->32, 8, 9    desk head, Grad-CAM    1.5     0.48 / 0.62    0.87 / 1.29
+        1, 48->32, 32, 9   paper head, Grad-CAM   3.7     5.0 / 7.8      3.0 / 6.6
+        16, 32->8, 32, 3   paper dense 3x3        2.0     7.0 / 5.7      4.9 / 8.9
+        16, 32->8, 8, 3    desk dense 3x3         2.3     0.38 / 0.43    0.74 / 0.84
+    """
+    if stride != 1:
+        return False
+    (oH, oW), (nH, nW) = out_hw, grid
+    cells = nH * nW
+    im2col = 6 * B * C * O * k * k * oH * oW
+    fft = 5 * B * (C + O) * cells * math.log2(cells) + 12 * B * C * O * cells + 8 * C * O * k * (k + nH) * nW
+    return im2col >= _FFT_CROSSOVER * fft
+
+
+def _tap_dft(n: int, k: int, lo: int, dtype) -> np.ndarray:
+    """(n, k) matrix exp(+2*pi*i * f * (t - lo) / n): the DFT, conjugated,
+    of kernel tap t placed at grid cell (t - lo) mod n."""
+    phase = np.outer(np.arange(n), np.arange(k) - lo) % n
+    return np.exp(2j * np.pi / n * phase).astype(dtype)
+
+
+def _conv2d_fft(x: Tensor, kernel: Tensor, out_hw: tuple, pad_lo: tuple, grid: tuple) -> Tensor:
+    """Stride-1 `conv2d` as a circular correlation on an (nH, nW) grid.
+
+    The input sits at the grid's origin and kernel tap (u, v) at cell
+    (u - pt, v - pl) mod the grid, so output (h, w) is grid cell (h, w).
+    A grid of H + max(pt, pb) rows (and likewise columns) is enough: the
+    wrapped rows a window reads beyond either edge are all zero padding.
+    Spectra are kept frequency-major, (nH, nW // 2 + 1, rows, cols), so
+    that the sum over channels is one batched matmul per frequency. The
+    kernel has only k x k taps, so its spectrum and the kernel gradient
+    are DFTs against (nH, k) and (nf, k) phase matrices rather than FFTs
+    of a mostly empty grid. Both VJPs reuse the forward's spectra.
+    """
+    B, C, H, W = x.shape
+    O, _, k, _ = kernel.shape
+    (oH, oW), (pt, pl), (nH, nW) = out_hw, pad_lo, grid
+    nf = nW // 2 + 1
+    cdt = np.result_type(x.data.dtype, kernel.data.dtype, np.complex64)
+    Eh = _tap_dft(nH, k, pt, cdt)
+    Ew = _tap_dft(nW, k, pl, cdt)[:nf]
+    X = np.ascontiguousarray(rfft2(x.data, s=grid).transpose(2, 3, 0, 1))  # (nH, nf, B, C)
+    ktaps = kernel.data.transpose(2, 3, 1, 0).reshape(k, k, C * O)
+    # the kernel spectrum's conjugate: the correlation's spectrum is X @ Kc
+    Kc = (Eh @ (Ew @ ktaps).reshape(k, nf * C * O)).reshape(nH, nf, C, O)
+    out = irfft2((X @ Kc).transpose(2, 3, 0, 1), s=grid)[:, :, :oH, :oW]
+    out = Tensor(np.ascontiguousarray(out))
+
+    def vjp(g):
+        G = np.ascontiguousarray(rfft2(g, s=grid).transpose(2, 3, 0, 1))  # (nH, nf, B, O)
+        gx = gk = None
+        if x.requires_grad:
+            gx = irfft2((G @ Kc.conj().swapaxes(-1, -2)).transpose(2, 3, 0, 1), s=grid)[:, :, :H, :W]
+        if kernel.requires_grad:
+            # inverse real DFT at the k x k taps only; each bin between DC
+            # and Nyquist stands for itself and its conjugate
+            f = np.arange(nf)
+            weight = np.where((f == 0) | (2 * f == nW), 1.0, 2.0) / (nH * nW)
+            R = (X.swapaxes(-1, -2) @ G.conj()).reshape(nH, nf * C * O)
+            P = (Eh.T @ R).reshape(k, nf, C * O)
+            taps = ((Ew.T * weight.astype(Ew.real.dtype)) @ P).real
+            gk = taps.reshape(k, k, C, O).transpose(3, 2, 0, 1)
         return (gx, gk)
 
     return record(out, (x, kernel), vjp)

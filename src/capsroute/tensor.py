@@ -455,11 +455,15 @@ def _matmul_plan(spec: str, a_shape: tuple, b_shape: tuple):
 
 
 def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Two-operand einsum as one batched matmul, planned once per spec and shapes."""
+    """Two-operand einsum as one batched matmul (a broadcast multiply when
+    no index is summed), planned once per spec and shapes."""
     swap, a_axes, a_nd, b_axes, b_nd, out_nd, out_axes = _matmul_plan(spec, a.shape, b.shape)
     x = a.transpose(a_axes).reshape(a_nd)
     y = b.transpose(b_axes).reshape(b_nd)
-    out = np.matmul(y, x) if swap else np.matmul(x, y)
+    lhs, rhs = (y, x) if swap else (x, y)
+    # with nothing summed the product is an outer one, which numpy's matmul
+    # runs in a slow non-BLAS loop; a broadcast multiply gives the same values
+    out = lhs * rhs if lhs.shape[-1] == 1 else np.matmul(lhs, rhs)
     return out.reshape(out_nd).transpose(out_axes)
 
 

@@ -1,9 +1,14 @@
 """Tensor engine tests: forward oracles, gradient checks, determinism."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from capsroute import conv
 from capsroute.conv import BatchNormState, batchnorm, conv2d, pool2d
+from capsroute.model import NetworkConfig, build_network
 from capsroute.tensor import (
     AutodiffError,
     ShapeError,
@@ -114,6 +119,150 @@ class TestConv2d:
         k = Tensor(np.zeros((1, 2, 3, 3)))
         with pytest.raises(ShapeError, match=r"3.*2"):
             conv2d(x, k)
+
+
+# ---------------------------------------------------------------------------
+# conv2d's two paths: im2col and the FFT correlation
+# ---------------------------------------------------------------------------
+
+# (B, C, O, H, W, k, padding): the 9x9 head (48 -> 32 maps) as the desk
+# (64 px) and paper (256 px) networks run it in training, predict and Grad-CAM
+HEAD_SHAPES = [
+    (16, 48, 32, 8, 8, 9, "same"),
+    (64, 48, 32, 8, 8, 9, "same"),
+    (1, 48, 32, 8, 8, 9, "same"),
+    (16, 48, 32, 32, 32, 9, "same"),
+    (1, 48, 32, 32, 32, 9, "same"),
+]
+
+
+@contextmanager
+def conv_path(fft):
+    """Run `conv2d` on the FFT path (True) or on im2col (False)."""
+    with mock.patch.object(conv, "_fft_pays", lambda *shapes: fft):
+        yield
+
+
+@contextmanager
+def recorded_paths():
+    """Record the path `conv2d` picks for each call (True: FFT)."""
+    taken = []
+    choose = conv._fft_pays
+
+    def spy(*shapes):
+        taken.append(choose(*shapes))
+        return taken[-1]
+
+    with mock.patch.object(conv, "_fft_pays", spy):
+        yield taken
+
+
+def conv_on_path(fft, x, k, padding, g):
+    """(out, gx, gk) of a stride-1 `conv2d` for upstream gradient g."""
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with conv_path(fft), Tape() as tape:
+        out = conv2d(xt, kt, 1, padding)
+        backward(tape, (out * Tensor(g)).sum())
+    return out.data, xt.grad, kt.grad
+
+
+def pad_same(x, k):
+    lo = (k - 1) // 2
+    return np.pad(x, ((0, 0), (0, 0), (lo, k - 1 - lo), (lo, k - 1 - lo)))
+
+
+def rel_err(got, want):
+    """Largest error relative to the largest reference entry."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def head_case(shape, seed, dtype=np.float64):
+    B, C, O, H, W, k, padding = shape
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((B, C, H, W)).astype(dtype)
+    kern = rng.standard_normal((O, C, k, k)).astype(dtype)
+    oH = H if padding == "same" else H - k + 1
+    oW = W if padding == "same" else W - k + 1
+    g = rng.standard_normal((B, O, oH, oW)).astype(dtype)
+    return x, kern, padding, g
+
+
+class TestConvPaths:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (2, 3, 2, 8, 8, 9, "same"),  # the head's kernel, wider than its input
+            (1, 1, 1, 32, 32, 9, "same"),  # the paper head's extent
+            (1, 2, 2, 1, 3, 9, "same"),  # the FFT grid narrower than the kernel
+            (2, 3, 4, 9, 13, 5, "valid"),
+            (2, 2, 3, 5, 7, 4, "same"),  # even kernel: the odd pad cell goes low side
+            (1, 2, 3, 6, 7, 6, "valid"),
+        ],
+    )
+    def test_both_paths_match_loop_oracle_f64(self, shape):
+        x, kern, padding, g = head_case(shape, seed=sum(shape[:6]))
+        want = conv2d_loops(pad_same(x, kern.shape[-1]) if padding == "same" else x, kern)
+        im2col, fft = (conv_on_path(path, x, kern, padding, g) for path in (False, True))
+        assert rel_err(im2col[0], want) <= 1e-12
+        assert rel_err(fft[0], want) <= 1e-12
+        for got, ref in zip(fft, im2col):
+            assert rel_err(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("shape", HEAD_SHAPES)
+    def test_paths_agree_at_head_shapes_f64(self, shape):
+        im2col, fft = (conv_on_path(path, *head_case(shape, seed=5)) for path in (False, True))
+        for got, ref in zip(fft, im2col):
+            assert rel_err(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [HEAD_SHAPES[0], HEAD_SHAPES[3]])
+    def test_f32_error_relative_to_map_maximum(self, shape):
+        # both paths within 2e-6 (about 17 f32 eps) of max|f64 result|, for
+        # the output and both gradients; measured: im2col <= 5.6e-7 and
+        # FFT <= 2.9e-7 at these shapes
+        x, kern, padding, g = head_case(shape, seed=6)
+        want = conv_on_path(False, x, kern, padding, g)
+        lo = [a.astype(np.float32) for a in (x, kern)]
+        for path in (False, True):
+            got = conv_on_path(path, *lo, padding, g.astype(np.float32))
+            for a, b in zip(got, want):
+                assert a.dtype == np.float32
+                assert rel_err(a, b) <= 2e-6
+
+    def test_nonfinite_input_spreads_over_the_image_on_the_fft_path(self):
+        x, kern, padding, g = head_case((2, 3, 2, 8, 8, 9, "same"), seed=7)
+        x[0, 1, 0, 0] = np.nan
+        with conv_path(False):
+            local = conv2d(Tensor(x), Tensor(kern), 1, padding).data
+        with conv_path(True):
+            spread = conv2d(Tensor(x), Tensor(kern), 1, padding).data
+        # im2col: only the windows over cell (0, 0), rows and columns 0..4
+        assert np.isnan(local[0, :, :5, :5]).all() and np.isfinite(local[0, :, 5:]).all()
+        assert np.isnan(spread[0]).all()
+        assert np.isfinite(local[1]).all() and np.isfinite(spread[1]).all()
+
+    def test_network_convs_take_their_side(self):
+        # the desk recipe's network at 64 px and 256 px; stem and 3x3
+        # convs stay on im2col, the 9x9 head goes to FFT at training and
+        # predict batches, and at batch 1 (Grad-CAM) only at 256 px
+        recipe = dict(
+            down_channels=(16, 16),
+            n_dense_blocks=1,
+            layers_per_block=4,
+            growth_rate=8,
+            bottleneck_width=4,
+            head_channels=32,
+        )
+        for size, batches in ((64, (1, 16, 64)), (256, (1, 16))):
+            net = build_network(NetworkConfig(input_size=size, **recipe), seed=0)
+            for B in batches:
+                calls = []
+                original = conv.conv2d
+                with recorded_paths() as taken, mock.patch("capsroute.model.conv2d") as spy:
+                    spy.side_effect = lambda x, k, *a, **kw: calls.append(k.shape[-1]) or original(x, k, *a, **kw)
+                    net.pre_pool(np.zeros((B, 1, size, size), dtype=np.float32), mode="eval")
+                assert calls == [7, 1] + [3] * 4 + [9]
+                head_fft = B > 1 or size == 256
+                assert taken == [False, False] + [False] * 4 + [head_fft], (size, B)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +458,7 @@ EINSUM2_SPECS = [
     "bnd,njde->bnje",
     "bnj,bnjd->bjd",
     "bnjd,bjd->bnj",
+    "bnj,bjd->bnjd",
     "ij,jk->ik",
 ]
 EXTENT = dict(b=3, i=5, j=4, l=6, s=7, n=6, d=3, e=2, k=4)
@@ -509,3 +659,15 @@ class TestFiniteDiff:
             w = Tensor(rng.standard_normal((O, C, k, k)))
             assert finite_diff_check(lambda t: relu(conv2d(t, w, stride, pad)).sum(), x) <= 1e-4
             assert finite_diff_check(lambda t: relu(conv2d(x, t, stride, pad)).sum(), w) <= 1e-4
+
+    def test_fft_path_gradients_at_desk_head(self):
+        # the desk head at batch 16, which conv2d runs on the FFT path; a
+        # seeded subset of coordinates, at the sweep's bound
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.standard_normal((16, 48, 8, 8)))
+        w = Tensor(rng.standard_normal((32, 48, 9, 9)) / 9.0)
+        with recorded_paths() as taken:
+            conv2d(x, w, 1, "same")
+        assert taken == [True]
+        assert finite_diff_check(lambda t: relu(conv2d(t, w, 1, "same")).sum(), x, max_coords=40) <= 1e-4
+        assert finite_diff_check(lambda t: relu(conv2d(x, t, 1, "same")).sum(), w, max_coords=40) <= 1e-4
