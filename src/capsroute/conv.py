@@ -15,7 +15,12 @@ per frequency, irfft2 and a crop; both VJPs stay in the frequency domain.
 "same" padding is symmetric zero padding with the extra cell on the high
 side when the deficit is odd; output size is ceil(in / stride). Pooling
 with "same" padding excludes the padded cells (max ignores them, average
-divides by the in-bounds count).
+divides by the in-bounds count). Max pooling reads every window cell as a
+unit-stride slice of one of the stride^2 phase planes of its padded input,
+and its gradient is gathered per plane and written to the input gradient
+once; average pooling sums its taps in row-major window order. Batch
+normalization reduces over a (B, C, H*W) view of its input and uses the
+closed-form gradient.
 """
 
 from __future__ import annotations
@@ -46,12 +51,6 @@ def _out_size(n: int, k: int, stride: int, padding: str) -> tuple[int, int, int]
         lo = total // 2
         return out, lo, total - lo
     raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-
-
-def _windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """(B,C,Hp,Wp) -> (B,C,oH,oW,k,k) strided view."""
-    w = sliding_window_view(xp, (k, k), axis=(2, 3))
-    return w[:, :, ::stride, ::stride]
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -212,13 +211,53 @@ def _conv2d_fft(x: Tensor, kernel: Tensor, out_hw: tuple, pad_lo: tuple, grid: t
     return record(out, (x, kernel), vjp)
 
 
+def _phases(n: int, lo: int, hi: int, stride: int, size: int) -> list[tuple[int, int, int, int]]:
+    """One entry per phase a < min(stride, size) of a padded axis, the
+    phases some window cell reads. Phase a holds padded cells stride*r + a;
+    its entry is (plane extent, first plane index r0 that is in bounds,
+    the input index h0 it holds, the number of input cells it holds).
+    """
+    phases = []
+    for a in range(min(stride, size)):
+        h0 = (a - lo) % stride
+        phases.append((len(range(a, lo + n + hi, stride)), (h0 + lo - a) // stride, h0, len(range(h0, n, stride))))
+    return phases
+
+
+def _phase_planes(x: np.ndarray, stride: int, rows: list, cols: list) -> dict:
+    """Contiguous phase planes of x padded with -inf: plane (a, b) holds
+    padded cell (stride*r + a, stride*c + b) at (r, c)."""
+    B, C = x.shape[:2]
+    planes = {}
+    for a, (nr, r0, h0, nh) in enumerate(rows):
+        for b, (nc, c0, w0, nw) in enumerate(cols):
+            p = np.empty((B, C, nr, nc), dtype=x.dtype)
+            p[:, :, r0 : r0 + nh, c0 : c0 + nw] = x[:, :, h0::stride, w0::stride]
+            for border in (p[:, :, :r0], p[:, :, r0 + nh :], p[:, :, :, :c0], p[:, :, :, c0 + nw :]):
+                border[...] = -np.inf
+            planes[a, b] = p
+    return planes
+
+
+def _in_bounds(n_out: int, n: int, lo: int, size: int, stride: int, dtype) -> np.ndarray:
+    """Number of in-bounds cells of each window along one padded axis."""
+    start = np.arange(n_out) * stride - lo
+    return (np.minimum(start + size, n) - np.maximum(start, 0)).astype(dtype)
+
+
 def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid") -> Tensor:
     """Max or average pooling.
 
-    Max is a tap-wise reduction: one elementwise maximum per window cell.
-    Its gradient goes to the first cell in row-major window order that
-    equals the window's maximum. Average distributes the gradient uniformly
-    over the cells that contributed (padded cells never contribute).
+    Max reads window cell (i, j) of every window as a unit-stride slice of
+    one of the stride^2 phase planes of the padded input (`_phase_planes`)
+    and reduces tap-wise, one elementwise maximum per cell. Its gradient
+    goes to the first cell in row-major window order that equals the
+    window's maximum. It is accumulated tap by tap into the planes'
+    gradients, and each plane is then written once to its strided cells
+    of the input gradient. Average sums the taps in row-major window order
+    (the order a per-window loop adds in) and divides by the number of
+    in-bounds cells; its gradient spreads uniformly over the cells that
+    contributed (padded cells never contribute).
     """
     if x.ndim != 4:
         raise ShapeError(f"pool2d expects 4D input, got {x.shape}")
@@ -226,46 +265,61 @@ def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid")
         raise ValueError(f"mode must be 'max' or 'avg', got {mode!r}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     B, C, H, W = x.shape
     oH, pt, pb = _out_size(H, size, stride, padding)
     oW, pl, pr = _out_size(W, size, stride, padding)
-    padded = pt or pb or pl or pr
     taps = [(i, j) for i in range(size) for j in range(size)]
 
     if mode == "max":
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)), constant_values=-np.inf) if padded else x.data
-        top = _tap(xp, 0, 0, stride, oH, oW).copy()
+        rows = _phases(H, pt, pb, stride, size)
+        cols = _phases(W, pl, pr, stride, size)
+        planes = _phase_planes(x.data, stride, rows, cols)
+
+        def tap(p, i, j):
+            return p[i % stride, j % stride][:, :, i // stride : i // stride + oH, j // stride : j // stride + oW]
+
+        top = tap(planes, 0, 0).copy()
         for i, j in taps[1:]:
-            np.maximum(top, _tap(xp, i, j, stride, oH, oW), out=top)
+            np.maximum(top, tap(planes, i, j), out=top)
         out = Tensor(top)
 
         def vjp(g):
-            dxp = np.zeros(xp.shape, dtype=x.data.dtype)
+            dplanes = {ab: np.zeros(p.shape, dtype=p.dtype) for ab, p in planes.items()}
             unclaimed = np.ones(top.shape, dtype=bool)
             first = np.empty(top.shape, dtype=bool)
-            share = np.empty(top.shape, dtype=dxp.dtype)
+            share = np.empty(top.shape, dtype=x.data.dtype)
             for i, j in taps:
                 # windows whose maximum sits at this cell and at no earlier one
-                np.equal(_tap(xp, i, j, stride, oH, oW), top, out=first)
+                np.equal(tap(planes, i, j), top, out=first)
                 first &= unclaimed
                 unclaimed ^= first
                 np.multiply(g, first, out=share)
-                dtap = _tap(dxp, i, j, stride, oH, oW)
+                dtap = tap(dplanes, i, j)
                 dtap += share
-            return (dxp[:, :, pt : pt + H, pl : pl + W],)
+            # the planes partition the input, except for the phases no
+            # window cell reads when stride > size
+            dx = (np.empty if stride <= size else np.zeros)(x.shape, dtype=x.data.dtype)
+            for (a, b), dp in dplanes.items():
+                (_, r0, h0, nh), (_, c0, w0, nw) = rows[a], cols[b]
+                dx[:, :, h0::stride, w0::stride] = dp[:, :, r0 : r0 + nh, c0 : c0 + nw]
+            return (dx,)
 
         return record(out, (x,), vjp)
 
+    padded = pt or pb or pl or pr
     xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if padded else x.data
-    # flatten each window before reducing so the summation order is the
-    # row-major window order (keeps per-window means bit-exact)
-    win = _windows(xp, size, stride).reshape(B, C, oH, oW, size * size)
+    total = _tap(xp, 0, 0, stride, oH, oW).copy()
+    for i, j in taps[1:]:
+        total += _tap(xp, i, j, stride, oH, oW)
     if padded:
-        ones = np.pad(np.ones((1, 1, H, W), dtype=x.data.dtype), ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-        count = _windows(ones, size, stride).reshape(1, 1, oH, oW, size * size).sum(axis=-1)
+        dt = x.data.dtype
+        count = np.outer(_in_bounds(oH, H, pt, size, stride, dt), _in_bounds(oW, W, pl, size, stride, dt))
     else:
         count = float(size * size)
-    out = Tensor(win.sum(axis=-1) / count)
+    total /= count
+    out = Tensor(total)
 
     def vjp(g):
         share = g / count
@@ -303,46 +357,60 @@ def batchnorm(
 
     Train mode normalizes with the current batch statistics (biased
     variance) and folds them into the running stats; eval mode uses the
-    running stats. Both modes are differentiable.
+    running stats. Both modes are differentiable. x is viewed as
+    (B, C, H*W), and every per-channel sum reduces the contiguous H*W axis
+    first, then the batch. The variance comes from row dot products of the
+    centred array, which is then scaled in place to x_hat; the output is
+    x_hat * gamma + beta. With a = gamma * inv_std and n = B*H*W the
+    gradients are the closed forms (Ioffe & Szegedy, arXiv 1502.03167)
+    g_beta = sum g, g_gamma = sum g * x_hat (row dot products, no full
+    temporary), and g_x = a*g - x_hat*(a*g_gamma/n) - a*g_beta/n in train
+    mode, a*g in eval mode.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm expects 4D input, got {x.shape}")
     B, C, H, W = x.shape
-    if B == 0:
-        raise ShapeError("batchnorm on an empty batch")
+    n = B * H * W
+    if n == 0:
+        raise ShapeError(f"batchnorm over no values per channel, input {x.shape}")
     if gamma.size != C or beta.size != C:
         raise ShapeError(f"gamma/beta must have {C} entries, got {gamma.size}/{beta.size}")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
-    gam = gamma.data.reshape(1, C, 1, 1)
-    bet = beta.data.reshape(1, C, 1, 1)
-
+    xv = x.data.reshape(B, C, H * W)
     if mode == "train":
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mu = xv.sum(axis=2).sum(axis=0) / n
+        xhat = xv - mu[:, None]
+        var = np.vecdot(xhat, xhat).sum(axis=0) / n
         state.running_mean = momentum * state.running_mean + (1.0 - momentum) * mu
         state.running_var = momentum * state.running_var + (1.0 - momentum) * var
     else:
-        mu = state.running_mean.astype(x.data.dtype)
+        xhat = xv - state.running_mean.astype(x.data.dtype)[:, None]
         var = state.running_var.astype(x.data.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + eps).reshape(1, C, 1, 1)
-    xhat = (x.data - mu.reshape(1, C, 1, 1)) * inv_std
-    out = Tensor(gam * xhat + bet)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std[:, None]
+    y = xhat * gamma.data.reshape(C, 1)
+    y += beta.data.reshape(C, 1)
+    out = Tensor(y.reshape(x.shape))
 
     def vjp(g):
-        ggam = (g * xhat).sum(axis=(0, 2, 3)).reshape(gamma.shape) if gamma.requires_grad else None
-        gbet = g.sum(axis=(0, 2, 3)).reshape(beta.shape) if beta.requires_grad else None
+        g3 = g.reshape(B, C, H * W)
+        gbet = g3.sum(axis=2).sum(axis=0)
+        ggam = np.vecdot(g3, xhat).sum(axis=0)
         gx = None
         if x.requires_grad:
-            dxhat = g * gam
+            a = gamma.data.reshape(C) * inv_std
+            gx = g3 * a[:, None]
             if mode == "train":
-                m1 = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-                gx = inv_std * (dxhat - m1 - xhat * m2)
-            else:
-                gx = inv_std * dxhat
-        return (gx, ggam, gbet)
+                gx -= xhat * (a * ggam / n)[:, None]
+                gx -= (a * gbet / n)[:, None]
+            gx = gx.reshape(x.shape)
+        return (
+            gx,
+            ggam.reshape(gamma.shape) if gamma.requires_grad else None,
+            gbet.reshape(beta.shape) if beta.requires_grad else None,
+        )
 
     return record(out, (x, gamma, beta), vjp)

@@ -189,6 +189,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     Deterministic for a fixed tape: grads are reset on entry, so calling
     backward twice yields bitwise-identical results.
+
+    A gradient's first arrival is kept as the VJP returned it, and it is
+    copied only when a second contribution arrives (copy-on-accumulate), so
+    nothing a VJP returned is ever written in place. A `.grad` may
+    therefore share memory with another tensor's `.grad`, or be a
+    read-only broadcast view: callers must read it and never write into it.
     """
     if loss.size != 1:
         raise AutodiffError(f"loss must be scalar, got shape {loss.shape}")
@@ -197,6 +203,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for t in inputs:
             t.grad = None
     loss.grad = np.ones_like(loss.data)
+    owned = set()  # ids of tensors whose .grad backward allocated itself
     for out, inputs, vjp in reversed(tape.records):
         g = out.grad
         if g is None:
@@ -206,9 +213,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if gt is None:
                 continue
             if t.grad is None:
-                t.grad = gt.astype(t.data.dtype, copy=True) if gt.dtype != t.data.dtype else gt.copy()
-            else:
+                t.grad = gt.astype(t.data.dtype, copy=False)
+            elif id(t) in owned:
                 t.grad += gt
+            else:
+                t.grad = np.add(t.grad, gt, out=np.empty(t.grad.shape, dtype=t.grad.dtype))
+                owned.add(id(t))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -63,6 +63,41 @@ def pool2d_loops(x, mode, size, stride):
     return out
 
 
+def max_pool_loops(x, size, stride, padding, g):
+    """Per-window max pool and its gradient for output gradient g.
+
+    Each window's maximum is taken over its in-bounds cells; its gradient
+    goes to the first in-bounds cell, in row-major window order, that
+    holds the maximum.
+    """
+    B, C, H, W = x.shape
+
+    def extent(n):
+        if padding == "valid":
+            return (n - size) // stride + 1, 0
+        out = -(-n // stride)
+        return out, max(0, (out - 1) * stride + size - n) // 2
+
+    (oH, pt), (oW, pl) = extent(H), extent(W)
+    y = np.empty((B, C, oH, oW), dtype=x.dtype)
+    dx = np.zeros_like(x)
+    for b in range(B):
+        for c in range(C):
+            for i in range(oH):
+                for j in range(oW):
+                    cells = [
+                        (h, w)
+                        for h in range(i * stride - pt, i * stride - pt + size)
+                        for w in range(j * stride - pl, j * stride - pl + size)
+                        if 0 <= h < H and 0 <= w < W
+                    ]
+                    top = max(x[b, c, h, w] for h, w in cells)
+                    h, w = next(cell for cell in cells if x[b, c][cell] == top)
+                    y[b, c, i, j] = top
+                    dx[b, c, h, w] += g[b, c, i, j]
+    return y, dx
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------
@@ -286,12 +321,51 @@ class TestPool2d:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 3, 8, 8))
         got = pool2d(Tensor(x), mode, size=3, stride=2)
-        np.testing.assert_allclose(got.data, pool2d_loops(x, mode, 3, 2), rtol=1e-12, atol=1e-12)
+        if mode == "max":
+            np.testing.assert_array_equal(got.data, pool2d_loops(x, mode, 3, 2))
+        else:
+            np.testing.assert_allclose(got.data, pool2d_loops(x, mode, 3, 2), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape, size, stride, padding",
+        [
+            ((2, 3, 9, 9), 3, 2, "same"),
+            ((2, 3, 9, 9), 3, 2, "valid"),
+            ((2, 3, 8, 8), 3, 2, "same"),
+            ((2, 3, 8, 8), 3, 2, "valid"),
+            ((2, 3, 7, 10), 3, 2, "same"),
+            ((2, 3, 8, 8), 2, 2, "valid"),
+            ((2, 3, 7, 9), 2, 2, "same"),
+            ((1, 2, 7, 6), 3, 1, "same"),
+            ((1, 2, 11, 10), 2, 3, "valid"),
+            ((1, 2, 1, 1), 3, 2, "same"),
+        ],
+    )
+    def test_max_bitwise_matches_window_loop_oracle(self, shape, size, stride, padding, dtype):
+        # values rounded to 0.5 make ties common; half-integer output
+        # gradients make every sum exact, so any summation order agrees
+        rng = np.random.default_rng(sum(shape) + 10 * size + stride)
+        x = Tensor((np.round(rng.standard_normal(shape) * 2) / 2).astype(dtype), requires_grad=True)
+        with Tape() as tape:
+            y = pool2d(x, "max", size, stride, padding)
+            g = (rng.integers(-4, 5, y.shape) / 2).astype(dtype)
+            backward(tape, (y * Tensor(g)).sum())
+        y_ref, dx_ref = max_pool_loops(x.data, size, stride, padding, g)
+        np.testing.assert_array_equal(y.data, y_ref)
+        np.testing.assert_array_equal(x.grad, dx_ref)
+        assert y.dtype == x.grad.dtype == dtype
 
     def test_window_larger_than_input_raises(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))
         with pytest.raises(ShapeError):
             pool2d(x, "max", size=3, stride=1)
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_raises(self, mode, stride):
+        with pytest.raises(ValueError, match="stride"):
+            pool2d(Tensor(np.zeros((1, 1, 4, 4))), mode, size=2, stride=stride)
 
     def test_same_padding_avg_keeps_constant(self):
         # padded cells are excluded from the average, so a constant image
@@ -390,6 +464,63 @@ class TestBatchNorm:
                 Tensor(np.zeros((0, 2, 3, 3))), Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormState.fresh(2)
             )
 
+    def test_no_spatial_cells_raises_and_leaves_state(self):
+        state = BatchNormState.fresh(1)
+        state.running_mean[:] = 0.25
+        mean, var = state.running_mean.copy(), state.running_var.copy()
+        with pytest.raises(ShapeError):
+            batchnorm(Tensor(np.zeros((2, 1, 0, 0))), Tensor(np.ones(1)), Tensor(np.zeros(1)), state, mode="train")
+        np.testing.assert_array_equal(state.running_mean, mean)
+        np.testing.assert_array_equal(state.running_var, var)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("shape", [(16, 48, 32, 32), (16, 32, 32, 32), (3, 5, 7, 9), (2, 3, 5, 1), (1, 4, 1, 1)])
+    def test_matches_f64_reference(self, shape, dtype, bound, mode):
+        # output, all three gradients and the running stats against the
+        # textbook formulas in f64, each relative to its largest entry
+        B, C, H, W = shape
+        rng = np.random.default_rng(B * C + H * W)
+        x = Tensor((rng.standard_normal(shape) * 3 + 1).astype(dtype), requires_grad=True)
+        gamma = Tensor((rng.standard_normal(C) + 1).astype(dtype), requires_grad=True)
+        beta = Tensor(rng.standard_normal(C).astype(dtype), requires_grad=True)
+        g = rng.standard_normal(shape).astype(dtype)
+        state = BatchNormState.fresh(C, dtype=dtype)
+        state.running_mean = rng.standard_normal(C).astype(dtype)
+        state.running_var = (rng.random(C) + 0.5).astype(dtype)
+        rm0, rv0 = state.running_mean.astype(np.float64), state.running_var.astype(np.float64)
+        with Tape() as tape:
+            y = batchnorm(x, gamma, beta, state, mode=mode)
+            backward(tape, (y * Tensor(g)).sum())
+
+        x64, gam, bet, g64 = (a.astype(np.float64) for a in (x.data, gamma.data, beta.data, g))
+        n = B * H * W
+        if mode == "train":
+            mu, var = x64.mean(axis=(0, 2, 3)), x64.var(axis=(0, 2, 3))
+            rm, rv = 0.9 * rm0 + 0.1 * mu, 0.9 * rv0 + 0.1 * var
+        else:
+            mu, var, rm, rv = rm0, rv0, rm0, rv0
+        c = (slice(None), None, None)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x64 - mu[c]) * inv_std[c]
+        gbet = g64.sum(axis=(0, 2, 3))
+        ggam = (g64 * xhat).sum(axis=(0, 2, 3))
+        gx = (gam * inv_std)[c] * g64
+        if mode == "train":
+            gx = gx - xhat * (gam * inv_std * ggam / n)[c] - (gam * inv_std * gbet / n)[c]
+        expect = {
+            "out": (y.data, xhat * gam[c] + bet[c]),
+            "gx": (x.grad, gx),
+            "ggamma": (gamma.grad, ggam),
+            "gbeta": (beta.grad, gbet),
+            "running_mean": (state.running_mean, rm),
+            "running_var": (state.running_var, rv),
+        }
+        for name, (got, ref) in expect.items():
+            assert got.dtype == dtype, name
+            scale = np.abs(ref).max() or 1.0
+            assert np.abs(got - ref).max() <= bound * scale, name
+
 
 # ---------------------------------------------------------------------------
 # relu / backward basics
@@ -444,6 +575,19 @@ class TestBackwardBasics:
         with Tape() as tape:
             backward(tape, (x * x + x).sum())
         np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_view_gradient_is_not_written_by_accumulation(self):
+        # the reshape VJP hands x a view of y.grad as x's first gradient;
+        # x's second contribution must not write through it into y.grad
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+        v, w = rng.standard_normal((2, 6)), rng.standard_normal((3, 4))
+        with Tape() as tape:
+            z = x * Tensor(v)  # recorded first, so its VJP runs last
+            y = x.reshape(3, 4)
+            backward(tape, (y * Tensor(w)).sum() + z.sum())
+        np.testing.assert_array_equal(y.grad, w)
+        np.testing.assert_array_equal(x.grad, w.reshape(2, 6) + v)
 
 
 # ---------------------------------------------------------------------------
