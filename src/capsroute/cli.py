@@ -1,5 +1,8 @@
 """Command-line entry point: train, eval, gradcam, bench, synth, selftest.
 
+`selftest` runs the suites of `capsroute.checks`, the same checks and
+inputs as acceptance criteria 1, 3 and 5 plus the IoBB geometry cases.
+
 Configuration is flat `key = value` text with `#` comments; precedence is
 command-line flags over config file over defaults. Exit codes: 0 success,
 1 usage error, 2 validation or data error.
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import SUITES
 from .data import (
     Checkpoint,
     DataError,
@@ -29,11 +33,9 @@ from .data import (
 from .evaluation import (
     BBox,
     EvalError,
-    auc,
     auc_per_class,
     grad_cam,
     heatmap_to_box,
-    iobb,
     localization_accuracy,
 )
 from .model import ConfigError, Network, NetworkConfig, baseline_variant, build_network
@@ -41,10 +43,9 @@ from .routing import (
     Conv1x1CapsuleParams,
     RoutingError,
     conv1x1_capsule_forward,
-    frozen_routing,
     route_conv1x1_naive,
 )
-from .tensor import Tensor, finite_diff_check
+from .tensor import Tensor
 from .training import (
     AdamState,
     AugmentConfig,
@@ -77,13 +78,14 @@ def _choice(*options):
     return parse
 
 
-def _ranged(kind, lo, hi):
+def _ranged(kind, lo, hi=float("inf")):
     def parse(text):
         v = kind(text)
         if not (lo <= v <= hi):
             raise ValueError(f"value {v} outside [{lo}, {hi}]")
         return v
 
+    parse.__name__ = f"{kind.__name__} in [{lo}, {hi}]"  # argparse's error names the range
     return parse
 
 
@@ -413,123 +415,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Self test
-# ---------------------------------------------------------------------------
-
-
-def _selftest_routing_equivalence(failures):
-    count = 0
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        I, J = int(rng.integers(1, 16)), int(rng.integers(1, 9))
-        S, r = int(rng.integers(1, 128)), int(rng.integers(1, 6))
-        F = rng.standard_normal((I, S))
-        params = Conv1x1CapsuleParams(rng.standard_normal((I, J)), r)
-        g_naive, c_naive = route_conv1x1_naive(F, params)
-        trace = []
-        g = conv1x1_capsule_forward(Tensor(F), params, grad_mode="none", trace=trace).data
-        if np.abs(trace[-1][0] - c_naive).max() > 1e-9:
-            failures.append(f"routing-equivalence: couplings diverged at seed {seed}")
-        elif np.abs(g - g_naive).max() > 1e-9:
-            failures.append(f"routing-equivalence: output maps diverged at seed {seed}")
-        else:
-            count += 1
-    return count, 40
-
-
-def _selftest_gradients(failures):
-    from .conv import conv2d, pool2d
-
-    checks = 0
-    total = 9
-    for seed in range(3):
-        rng = np.random.default_rng(100 + seed)
-        x = Tensor(rng.standard_normal((1, 2, 6, 6)))
-        k = Tensor(rng.standard_normal((3, 2, 3, 3)))
-        if finite_diff_check(lambda t: conv2d(t, k, padding="same").sum(), x) <= 1e-4:
-            checks += 1
-        else:
-            failures.append(f"gradient: conv2d input check failed at seed {100 + seed}")
-
-        def pooled(t):
-            y = pool2d(t, "max", 2, 2)
-            return (y * y).sum()
-
-        if finite_diff_check(pooled, Tensor(rng.standard_normal((1, 2, 6, 6)))) <= 1e-4:
-            checks += 1
-        else:
-            failures.append(f"gradient: pool2d check failed at seed {100 + seed}")
-
-        feats = Tensor(rng.standard_normal((1, 4, 9)))
-        w = Tensor(rng.standard_normal((4, 3)) * 0.5)
-        probe = Tensor(rng.standard_normal((1, 3, 9)))
-
-        def routed(t):
-            out = conv1x1_capsule_forward(feats, Conv1x1CapsuleParams(t, 3), "last", freeze_key="st")
-            return (out * probe).sum()
-
-        with frozen_routing():
-            err = finite_diff_check(routed, w)
-        if err <= 1e-4:
-            checks += 1
-        else:
-            failures.append(f"gradient: routed layer check failed at seed {100 + seed}")
-    return checks, total
-
-
-def _selftest_auc(failures):
-    count = 0
-    for seed in range(50):
-        rng = np.random.default_rng(200 + seed)
-        n = int(rng.integers(2, 40))
-        scores = np.round(rng.random(n), 1)
-        labels = (rng.random(n) < 0.5).astype(float)
-        got = auc(scores, labels)
-        pos = scores[labels > 0.5]
-        neg = scores[labels <= 0.5]
-        if len(pos) == 0 or len(neg) == 0:
-            want = None
-        else:
-            wins = sum(1.0 if p > nn else (0.5 if p == nn else 0.0) for p in pos for nn in neg)
-            want = wins / (len(pos) * len(neg))
-        if got != want:
-            failures.append(f"auc: rank sum != pair counting at seed {200 + seed}")
-        else:
-            count += 1
-    return count, 50
-
-
-def _selftest_iobb(failures):
-    cases = [
-        (BBox(0, 0, 10, 10), BBox(0, 0, 10, 10), 1.0),
-        (BBox(0, 0, 5, 5), BBox(20, 20, 5, 5), 0.0),
-        (BBox(0, 0, 10, 10), BBox(0, 0, 5, 10), 0.5),
-        (BBox(2, 2, 3, 3), BBox(0, 0, 10, 10), 1.0),
-    ]
-    count = 0
-    for i, (det, gt, want) in enumerate(cases):
-        if iobb(det, gt) == want:
-            count += 1
-        else:
-            failures.append(f"iobb: geometry case {i} failed")
-    return count, len(cases)
-
-
 def cmd_selftest(args) -> int:
-    failures: list[str] = []
-    suites = [
-        ("routing-equivalence", _selftest_routing_equivalence),
-        ("gradient-checks", _selftest_gradients),
-        ("auc-oracle", _selftest_auc),
-        ("iobb-geometry", _selftest_iobb),
-    ]
-    for name, fn in suites:
-        passed, total = fn(failures)
-        print(f"{name}: {passed}/{total} passed")
-    if failures:
+    failed = False
+    for name, suite in SUITES.items():
+        cases, failures = suite()
+        print(f"{name}: {cases - len(failures)}/{cases} passed")
         for f in failures:
-            print(f"FAIL {f}", file=sys.stderr)
+            print(f"FAIL {name}: {f}", file=sys.stderr)
+        failed = failed or bool(failures)
+    if failed:
         return 2
     print("selftest: all suites passed")
     return 0
@@ -556,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", default=None, help="flat key=value config file")
     t.add_argument("--out", required=True, help="checkpoint path")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--epochs", type=int, default=10)
+    t.add_argument("--epochs", type=_ranged(int, 0), default=10)
     t.add_argument("--baseline", action="store_true", help="plain 1x1 convolutions instead of routing")
     t.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
     t.set_defaults(fn=cmd_train)
@@ -578,24 +472,24 @@ def _build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_gradcam)
 
     b = sub.add_parser("bench", help="time plain vs naive vs kernel routing")
-    b.add_argument("--spatial", type=int, default=4096, help="feature map length S")
-    b.add_argument("--in-maps", type=int, default=32)
-    b.add_argument("--out-maps", type=int, default=32)
-    b.add_argument("--iters", type=int, default=3)
-    b.add_argument("--repeat", type=int, default=9)
+    b.add_argument("--spatial", type=_ranged(int, 1), default=4096, help="feature map length S")
+    b.add_argument("--in-maps", type=_ranged(int, 1), default=32)
+    b.add_argument("--out-maps", type=_ranged(int, 1), default=32)
+    b.add_argument("--iters", type=_ranged(int, 1), default=3)
+    b.add_argument("--repeat", type=_ranged(int, 1), default=9)
     b.add_argument("--out", default=None)
     b.set_defaults(fn=cmd_bench)
 
     s = sub.add_parser("synth", help="generate the synthetic multi-label glyph dataset")
     s.add_argument("--out-dir", required=True)
-    s.add_argument("--n-train", type=int, default=2000)
-    s.add_argument("--n-test", type=int, default=500)
+    s.add_argument("--n-train", type=_ranged(int, 0), default=2000)
+    s.add_argument("--n-test", type=_ranged(int, 0), default=500)
     s.add_argument("--size", type=int, default=64)
     s.add_argument("--n-classes", type=int, default=4)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=cmd_synth)
 
-    st = sub.add_parser("selftest", help="run built-in consistency suites")
+    st = sub.add_parser("selftest", help="run the routing-equivalence, gradient, AUC and IoBB checks")
     st.set_defaults(fn=cmd_selftest)
     return p
 

@@ -166,9 +166,6 @@ class BBox:
     def area(self) -> int:
         return self.w * self.h
 
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
 
 def region_from_threshold(normalized: np.ndarray, tau: float = 0.1):
     """Mask pixels above tau and box the largest 4-connected component.

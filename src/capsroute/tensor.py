@@ -75,9 +75,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _not_scalar(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -99,25 +96,10 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- method sugar --------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -126,10 +108,6 @@ class Tensor:
 
     def transpose(self, axes) -> "Tensor":
         return transpose(self, axes)
-
-
-def _not_scalar(t: Tensor):
-    raise AutodiffError(f"expected a scalar tensor, got shape {t.shape}")
 
 
 def _wrap(x, like: Tensor) -> Tensor:
@@ -272,39 +250,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), vjp)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
-        )
-
-    return record(out, (a, b), vjp)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return record(out, (a,), lambda g: (-g,))
-
-
 def square(a: Tensor) -> Tensor:
     out = Tensor(a.data * a.data)
     return record(out, (a,), lambda g: (g * (2.0 * a.data),))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root; gradient is undefined at 0 (caller guards)."""
-    y = np.sqrt(a.data)
-    out = Tensor(y)
-    return record(out, (a,), lambda g: (g * (0.5 / y),))
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y)
-    return record(out, (a,), lambda g: (g * y,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -320,18 +268,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape),)
-
-    return record(out, (a,), vjp)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else np.prod([a.shape[i] for i in np.atleast_1d(axis)])
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / n,)
 
     return record(out, (a,), vjp)
 
@@ -373,22 +309,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # Linear-algebra ops
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return (ga, gb)
-
-    return record(out, (a, b), vjp)
 
 
 def _parse_spec(spec: str, a_ndim: int, b_ndim: int) -> tuple[str, str, str]:

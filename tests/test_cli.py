@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import capsroute.checks as checks
 import capsroute.cli as cli
 from capsroute import routing
 from capsroute.cli import RunConfig, bench_routing, main
@@ -84,6 +85,26 @@ class TestRunConfig:
         p.write_text("alpha 0.002\n")
         with pytest.raises(DataError, match="key = value"):
             RunConfig.from_file(p)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--spatial", "0"],
+        ["bench", "--in-maps", "0"],
+        ["bench", "--out-maps", "0"],
+        ["bench", "--iters", "0"],
+        ["bench", "--repeat", "0"],
+        ["synth", "--out-dir", "unused", "--n-train", "-3"],
+        ["synth", "--out-dir", "unused", "--n-test", "-1"],
+        ["train", "--manifest", "m.csv", "--images-root", ".", "--out", "x.ckpt", "--epochs", "-1"],
+    ],
+)
+def test_out_of_range_integer_flag_exit_1(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert f"argument {argv[-2]}: invalid int in" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # rejected before anything is written
 
 
 class TestSynth:
@@ -335,13 +356,15 @@ class TestShippedLayer:
     @pytest.fixture
     def calls(self, monkeypatch):
         counted = []
-        real = cli.conv1x1_capsule_forward
+        real = routing.conv1x1_capsule_forward
 
         def counting(*args, **kwargs):
             counted.append(kwargs.get("grad_mode"))
             return real(*args, **kwargs)
 
+        # `bench` looks the layer up in `cli`, `selftest`'s suites in `checks`
         monkeypatch.setattr(cli, "conv1x1_capsule_forward", counting)
+        monkeypatch.setattr(checks, "conv1x1_capsule_forward", counting)
         return counted
 
     @pytest.mark.parametrize("iters", [1, 3])
@@ -361,6 +384,10 @@ class TestSelftest:
         out = capsys.readouterr().out
         for suite in ("routing-equivalence", "gradient-checks", "auc-oracle", "iobb-geometry"):
             assert suite in out
+        # the suites run at the acceptance tests' full size
+        assert "routing-equivalence: 400/400 passed" in out
+        assert "auc-oracle: 1000/1000 passed" in out
+        assert "iobb-geometry: 4/4 passed" in out
 
     def test_injected_bug_fails_with_seeds(self, monkeypatch, capsys):
         # corrupt the Gram-space evidence update the shipped layer runs:
