@@ -111,7 +111,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -
         gk = gx = None
         g_last = g.transpose(0, 2, 3, 1)
         if kernel.requires_grad:
-            gk = (g_last.reshape(B * oH * oW, O).T @ cols).reshape(O, k, k, C).transpose(0, 3, 1, 2)
+            gk = (g_last.reshape(B * oH * oW, O).T @ cols).reshape(O, k, k, C)
+            gk = np.ascontiguousarray(gk.transpose(0, 3, 1, 2))
         if x.requires_grad:
             # transposed convolution: correlate the zero-inserted g, padded
             # so that output cell (h, w) lines up with input cell (h, w),
@@ -205,7 +206,7 @@ def _conv2d_fft(x: Tensor, kernel: Tensor, out_hw: tuple, pad_lo: tuple, grid: t
             R = (X.swapaxes(-1, -2) @ G.conj()).reshape(nH, nf * C * O)
             P = (Eh.T @ R).reshape(k, nf, C * O)
             taps = ((Ew.T * weight.astype(Ew.real.dtype)) @ P).real
-            gk = taps.reshape(k, k, C, O).transpose(3, 2, 0, 1)
+            gk = np.ascontiguousarray(taps.reshape(k, k, C, O).transpose(3, 2, 0, 1))
         return (gx, gk)
 
     return record(out, (x, kernel), vjp)

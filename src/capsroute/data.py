@@ -249,6 +249,13 @@ def _draw_glyph(img: np.ndarray, cls: int, x: int, y: int, size: int, amp: float
     region[mask] = np.maximum(region[mask], amp)
 
 
+def _check_synthetic(image_size: int, n_classes: int) -> None:
+    if not 1 <= n_classes <= 4:
+        raise DataError(f"n_classes must be in 1..4 (one glyph kind per class), got {n_classes}")
+    if image_size < 24:
+        raise DataError(f"image_size must be >= 24, got {image_size}")
+
+
 def generate_synthetic(
     n: int,
     image_size: int,
@@ -262,10 +269,7 @@ def generate_synthetic(
     cross) inside its own randomly chosen quadrant; the ground-truth box
     is the glyph extent. Pure function of the seed.
     """
-    if not 1 <= n_classes <= 4:
-        raise DataError(f"n_classes must be in 1..4 (one glyph kind per class), got {n_classes}")
-    if image_size < 24:
-        raise DataError(f"image_size must be >= 24, got {image_size}")
+    _check_synthetic(image_size, n_classes)
     rng = np.random.default_rng(seed)
     half = image_size // 2
     samples = []
@@ -298,6 +302,7 @@ def synth_dataset(
     class_prior: float = 0.35,
 ) -> tuple[Path, Path]:
     """Write train/test PGMs plus manifests; returns the manifest paths."""
+    _check_synthetic(image_size, n_classes)  # before the mkdir, so a bad call leaves no directory
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

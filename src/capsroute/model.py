@@ -2,12 +2,17 @@
 
 primary-capsule grouping, and the fully connected capsule classifier.
 
-The stem is Conv(7x7, stride 2) - MaxPool(3, stride 2) - Conv(1x1, stride 2)
-- AvgPool(2, stride 1), three net halvings, so a 256 input reaches the
-9x9 head at 32x32 and the 4x4/stride-4 average pool leaves an 8x8 primary
-capsule grid. Dense blocks follow BN-ReLU-Conv(1x1)-BN-ReLU-Conv(3x3)
-composite layers where the 1x1 step is the routed capsule layer; the
-baseline variant swaps it for a plain 1x1 convolution of identical shape.
+The stem is Conv(7x7, stride 2) - MaxPool(3, stride 4, "same") -
+Conv(1x1, stride 1) - AvgPool(2, stride 1), a net reduction of 8, so a
+256 input reaches the 9x9 head at 32x32 and the 4x4/stride-4 average pool
+leaves an 8x8 primary capsule grid. The stride-4 pool builds only the
+windows that MaxPool(3, stride 2, "same") followed by Conv(1x1, stride 2)
+would read, and gives the same output and gradients bitwise. That holds
+unless the conv's output extent ceil(n/2) is 3 mod 4, where the two pools
+pad differently; `NetworkConfig.validate` rejects those input sizes.
+Dense blocks follow BN-ReLU-Conv(1x1)-BN-ReLU-Conv(3x3) composite layers
+where the 1x1 step is the routed capsule layer; the baseline variant swaps
+it for a plain 1x1 convolution of identical shape.
 Class scores are the L2 norms of the output capsules, so they live in
 [0, 1).
 """
@@ -79,6 +84,13 @@ class NetworkConfig:
             raise ConfigError(f"down_channels must be two extents >= 1, got {self.down_channels}")
         if self.head_channels % PRIMARY_CAPS_DIM != 0:
             raise ConfigError(f"head_channels must be a multiple of {PRIMARY_CAPS_DIM}, got {self.head_channels}")
+        half = -(-int(self.input_size) // 2)  # extent after the 7x7/2 stem conv
+        if half % 4 == 3:
+            raise ConfigError(
+                f"input_size {self.input_size} is not supported: the stem conv's output extent {half} is 3 mod 4, "
+                f"where the stem's 3/4 max pool would pad differently from max pool 3/2 followed by the "
+                f"strided 1x1; the nearest sizes the stem accepts are {2 * half - 2} and {2 * half + 1}"
+            )
         if self.grad_mode not in ("none", "last"):
             raise ConfigError(f"grad_mode must be 'none' or 'last', got {self.grad_mode!r}")
         resolve_dtype(self.dtype)
@@ -117,10 +129,9 @@ def shape_trace(config: NetworkConfig) -> list[tuple[str, tuple[int, int, int]]]
     step("input", 1, s, s)
     s = -(-s // 2)
     step("stem.conv1(7x7/2)", c1, s, s)
-    s = -(-s // 2)
-    step("stem.maxpool(3/2)", c1, s, s)
-    s = -(-s // 2)
-    step("stem.conv2(1x1/2)", c2, s, s)
+    s = -(-s // 4)
+    step("stem.maxpool(3/4)", c1, s, s)
+    step("stem.conv2(1x1/1)", c2, s, s)
     step("stem.avgpool(2/1)", c2, s, s)
     ch = c2
     for b in range(config.n_dense_blocks):
@@ -286,17 +297,23 @@ class Network:
             raise ConfigError(
                 f"expected (N, 1, {self.config.input_size}, {self.config.input_size}) input, got {x.shape}"
             )
-        x = conv2d(x, self.stem_conv1, stride=2, padding="same")
-        x = pool2d(x, "max", 3, 2, padding="same")
-        x = conv2d(x, self.stem_conv2, stride=2, padding="valid")
-        x = pool2d(x, "avg", 2, 1, padding="same")
-
+        x = self.stem(x)
         for layers in self.blocks:
             for lay in layers:
                 x = concat([x, self.composite_layer(x, lay, mode, coupling_trace)], axis=1)
 
         x = relu(batchnorm(x, self.head_bn_gamma, self.head_bn_beta, self.head_bn_state, mode))
         return conv2d(x, self.head_conv, stride=1, padding="same")
+
+    def stem(self, x: Tensor) -> Tensor:
+        """Conv 7x7/2, max pool 3/4, conv 1x1/1 and avg pool 2/1: the
+
+        stages `shape_trace` names stem.*.
+        """
+        x = conv2d(x, self.stem_conv1, stride=2, padding="same")
+        x = pool2d(x, "max", 3, 4, padding="same")
+        x = conv2d(x, self.stem_conv2, stride=1, padding="valid")
+        return pool2d(x, "avg", 2, 1, padding="same")
 
     def composite_layer(self, feats: Tensor, lay: _CompositeLayer, mode: str, coupling_trace: dict | None = None) -> Tensor:
         """One dense-block step: BN-ReLU-1x1-BN-ReLU-3x3 conv, where the 1x1

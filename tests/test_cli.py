@@ -123,6 +123,13 @@ class TestSynth:
         rc = main(["synth", "--out-dir", "/proc/nope", "--n-train", "1", "--n-test", "1", "--size", "32"])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", [["--size", "0"], ["--n-classes", "0"]])
+    def test_bad_arguments_create_no_directory(self, tmp_path, bad):
+        out = tmp_path / "d"
+        rc = main(["synth", "--out-dir", str(out), "--n-train", "1", "--n-test", "1"] + bad)
+        assert rc == 2
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_metrics(self, trained):
@@ -167,6 +174,24 @@ class TestTrain:
             ]
         )
         assert rc == 2
+
+    def test_rejected_input_size_exit_2_without_checkpoint(self, dataset, tmp_path, capsys):
+        out = tmp_path / "x.ckpt"
+        rc = main(
+            _tiny_args(
+                [
+                    "train",
+                    "--manifest", str(dataset / "train.csv"),
+                    "--images-root", str(dataset),
+                    "--out", str(out),
+                    "--epochs", "1",
+                ]
+            )
+            + ["--set", "input_size=30"]
+        )
+        assert rc == 2
+        assert "input_size 30 is not supported" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_required_flag_exit_1(self):
         assert main(["train", "--manifest", "x.csv"]) == 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from capsroute.conv import conv2d, pool2d
 from capsroute.model import (
     ConfigError,
     NetworkConfig,
@@ -12,7 +13,7 @@ from capsroute.model import (
     shape_trace,
 )
 from capsroute.routing import frozen_routing
-from capsroute.tensor import Tensor, concat, finite_diff_check
+from capsroute.tensor import Tape, Tensor, backward, concat, finite_diff_check
 
 
 def desk_config(**over):
@@ -64,12 +65,12 @@ class TestShapeTrace:
         assert trace["primary_capsules"] == (8 * 8 * 8, 1, 1)
 
     def test_desk_scale_trace_by_hand(self):
-        # 64 -> 32 (conv7/2) -> 16 (max3/2) -> 8 (conv1/2) -> 8 (avg2/1)
+        # 64 -> 32 (conv7/2) -> 8 (max3/4) -> 8 (conv1/1) -> 8 (avg2/1)
         # -> 8 (block) -> 8 (head) -> 2 (avg4/4)
         trace = dict(shape_trace(desk_config()))
         assert trace["stem.conv1(7x7/2)"] == (8, 32, 32)
-        assert trace["stem.maxpool(3/2)"] == (8, 16, 16)
-        assert trace["stem.conv2(1x1/2)"] == (8, 8, 8)
+        assert trace["stem.maxpool(3/4)"] == (8, 8, 8)
+        assert trace["stem.conv2(1x1/1)"] == (8, 8, 8)
         assert trace["stem.avgpool(2/1)"] == (8, 8, 8)
         assert trace["block0"] == (16, 8, 8)
         assert trace["head.conv(9x9/1)"] == (16, 8, 8)
@@ -83,6 +84,63 @@ class TestShapeTrace:
     def test_head_channels_multiple_of_eight(self):
         with pytest.raises(ConfigError, match="multiple of 8"):
             NetworkConfig(head_channels=12).validate()
+
+
+def reference_stem(net, x):
+    """The stem in the four stages it is specified by: conv 7x7/2, max pool
+    3/2 "same", conv 1x1/2 "valid", avg pool 2/1."""
+    y = conv2d(x, net.stem_conv1, stride=2, padding="same")
+    y = pool2d(y, "max", 3, 2, padding="same")
+    y = conv2d(y, net.stem_conv2, stride=2, padding="valid")
+    return pool2d(y, "avg", 2, 1, padding="same")
+
+
+def stem_and_kernel_grads(stem, net, x, rng):
+    """Output and both stem kernel gradients for seeded output gradients."""
+    with Tape() as tape:
+        out = stem(Tensor(x))
+        g = rng.standard_normal(out.shape).astype(x.dtype)
+        backward(tape, (out * Tensor(g)).sum())
+    return out.data, net.stem_conv1.grad, net.stem_conv2.grad
+
+
+def assert_stem_matches_reference(net, x, seed):
+    got = stem_and_kernel_grads(net.stem, net, x, np.random.default_rng(seed))
+    want = stem_and_kernel_grads(lambda t: reference_stem(net, t), net, x, np.random.default_rng(seed))
+    for name, a, b in zip(("output", "stem.conv1 grad", "stem.conv2 grad"), got, want):
+        assert a.dtype == x.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=f"{name} at input size {x.shape[-1]}")
+
+
+class TestStem:
+    def test_bitwise_equal_to_unfused_reference_at_every_size_f64(self):
+        # tie-heavy: input and 7x7 kernel rounded to 0.5, so max-pool
+        # windows often hold equal cells; the 1x1 kernel and the output
+        # gradients are not rounded
+        rng = np.random.default_rng(21)
+        swept = []
+        for n in range(24, 301):
+            try:
+                net = build_network(desk_config(input_size=n, down_channels=(4, 8)), seed=n)
+            except ConfigError:
+                continue
+            net.stem_conv1.data = np.round(2.0 * rng.standard_normal(net.stem_conv1.shape)) / 2.0
+            x = np.round(2.0 * rng.standard_normal((2, 1, n, n))) / 2.0
+            assert_stem_matches_reference(net, x, seed=n)
+            swept.append(n)
+        rejected = [n for n in range(24, 301) if -(-n // 2) % 4 == 3]
+        assert sorted(swept + rejected + [24]) == list(range(24, 301))
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_bitwise_equal_to_unfused_reference_f32(self, size):
+        net = build_network(desk_config(input_size=size, down_channels=(16, 16), dtype="f32"), seed=2)
+        x = np.random.default_rng(size).standard_normal((4, 1, size, size)).astype(np.float32)
+        assert_stem_matches_reference(net, x, seed=size)
+
+    @pytest.mark.parametrize("size,nearest", [(29, "28 and 31"), (30, "28 and 31"), (62, "60 and 63"), (254, "252 and 255")])
+    def test_sizes_where_the_pools_pad_differently_are_rejected(self, size, nearest):
+        with pytest.raises(ConfigError, match=f"input_size {size} is not supported.* {nearest}$"):
+            desk_config(input_size=size).validate()
 
 
 class TestBuild:

@@ -262,6 +262,12 @@ class TestConvPaths:
                 assert a.dtype == np.float32
                 assert rel_err(a, b) <= 2e-6
 
+    @pytest.mark.parametrize("fft", [False, True])
+    def test_kernel_gradient_is_c_contiguous(self, fft):
+        # adam_step reads the kernel gradient in whole-array passes
+        _, _, gk = conv_on_path(fft, *head_case((2, 3, 4, 9, 13, 5, "same"), seed=8))
+        assert gk.shape == (4, 3, 5, 5) and gk.flags.c_contiguous
+
     def test_nonfinite_input_spreads_over_the_image_on_the_fft_path(self):
         x, kern, padding, g = head_case((2, 3, 2, 8, 8, 9, "same"), seed=7)
         x[0, 1, 0, 0] = np.nan
@@ -787,7 +793,7 @@ class TestFiniteDiff:
             # (B, C, H, W, O, k, stride, padding)
             (1, 2, 7, 7, 2, 3, 2, "same"),
             (2, 1, 8, 8, 2, 3, 2, "valid"),
-            (1, 2, 8, 8, 2, 1, 2, "valid"),  # the strided 1x1 of the stem
+            (1, 2, 8, 8, 2, 1, 2, "valid"),  # a strided 1x1: its input gradient skips cells
             (1, 1, 11, 11, 2, 7, 2, "same"),  # the 7x7/2 stem conv
             (1, 2, 9, 9, 1, 2, 3, "same"),
             (1, 1, 10, 10, 2, 4, 3, "valid"),
