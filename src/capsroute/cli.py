@@ -148,15 +148,18 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        cfg = cls()
+        cfg, first = cls(), {}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise DataError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            cfg.set(key.strip(), value.strip())
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in first:
+                raise DataError(f"{path}:{lineno}: config key {key!r} already set at line {first[key]}")
+            first[key] = lineno
+            cfg.set(key, value)
         return cfg
 
     def network_config(self) -> NetworkConfig:
@@ -202,10 +205,10 @@ def _load_split(manifest_path, images_root, input_size: int, n_classes: int):
             img = np.clip(resize_bilinear(img, (input_size, input_size)), 0.0, 1.0)
             resized += 1
         images.append(img)
-        for c in e.labels:
+        for c in (*e.labels, *(box[0] for box in e.boxes)):
             if not 0 <= c < n_classes:
                 raise DataError(f"{e.path}: label {c} out of range for {n_classes} classes")
-            labels[i, c] = 1.0
+        labels[i, list(e.labels)] = 1.0
     if resized:
         print(f"note: resized {resized} image(s) to {input_size}x{input_size}", file=sys.stderr)
     return images, labels, entries

@@ -15,9 +15,9 @@ maps during iteration, so the layer materializes its output exactly once.
 Routing state is per sample: batch elements never share logits, couplings,
 or Gram matrices.
 
-The 1x1 and FC layers differ only in their evidence update, which each
-gives as a numpy step and a taped step. `_iterate` is the one detached
-routing loop and `_route` the one coupling schedule.
+The 1x1 and FC layers differ only in their evidence update, one taped
+step each that serves every round. `_iterate` is the one detached routing
+loop and `_route` the one coupling schedule.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .tensor import Tensor, _contract, einsum2, mul, record, relu, softmax_lastdim, tsum
+from .tensor import Tensor, einsum2, mul, record, relu, softmax_lastdim, tsum
 
 __all__ = [
     "Conv1x1CapsuleParams",
@@ -162,41 +162,17 @@ def _check_norms(n2: np.ndarray, G: np.ndarray, W: np.ndarray) -> None:
             raise RoutingNumericalError(f"recovered |g|^2 = {n2.min():.3e} below the rounding band")
 
 
-def _agreement_terms(G: np.ndarray, W: np.ndarray, c: np.ndarray):
-    """Return (A, n2) where A[.., i, j] = f_hat_ji . g_j and n2[.., j] = |g_j|^2.
-
-    A expands through the Gram matrix: sum_l W_ij W_lj c_lj G_li; the norm
-    recovery is n2_j = sum_i c_ij A_ij. Values below the rounding band
-    abort; small negatives clamp to zero.
-    """
-    Wc = W * c
-    M = _contract("...li,...lj->...ij", G, Wc)
-    A = W * M
-    n2 = np.sum(c * A, axis=-2)
-    _check_norms(n2, G, W)
-    return A, np.maximum(n2, 0.0)
-
-
-def _gram_step(c: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Gram-space evidence update A_ij * |g_j| / (1 + |g_j|^2)."""
-    A, n2 = _agreement_terms(G, W, c)
-    return A * _agreement_scale(n2)[..., None, :]
-
-
-def _fc_step(c: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
-    """FC evidence update u_hat_ij . squash(sum_i c_ij u_hat_ij)."""
-    s = _contract("bnj,bnjd->bjd", c, u_hat)
-    return _contract("bnjd,bjd->bnj", u_hat, _squash_np(s, axis=-1))
-
-
 def _iterate(step, operands, shape, dtype, n_steps: int, trace: Optional[list] = None) -> np.ndarray:
-    """`n_steps` detached {softmax, b += step(c, *operands)} rounds from zero logits; returns b."""
+    """`n_steps` detached {softmax, b += step(c, *operands)} rounds from zero logits; returns b.
+
+    `operands` must not require gradients, so the rounds leave no tape records.
+    """
     b = np.zeros(shape, dtype=dtype)
     for _ in range(n_steps):
         c = coupling_softmax(b)
         if trace is not None:
             trace.append(c.copy())
-        b = b + step(c, *operands)
+        b = b + step(Tensor(c), *operands).data
     return b
 
 
@@ -272,8 +248,13 @@ def _routing_scale_op(n2: Tensor) -> Tensor:
     return record(out, (n2,), vjp)
 
 
-def _gram_step_taped(c: Tensor, G: Tensor, W: Tensor) -> Tensor:
-    """`_gram_step` on the tape, for the differentiated final round."""
+def _gram_step(c: Tensor, G: Tensor, W: Tensor) -> Tensor:
+    """Gram-space evidence update A_ij * |g_j| / (1 + |g_j|^2).
+
+    A_ij = f_hat_ji . g_j expands through the Gram matrix as
+    sum_l W_ij W_lj c_lj G_li, and |g_j|^2 = sum_i c_ij A_ij. Values below
+    the rounding band abort; small negatives clamp to zero.
+    """
     A = mul(W, einsum2("bli,blj->bij", G, mul(c, W)))
     n2 = tsum(mul(c, A), axis=1)
     _check_norms(n2.data, G.data, W.data)
@@ -281,18 +262,19 @@ def _gram_step_taped(c: Tensor, G: Tensor, W: Tensor) -> Tensor:
     return mul(A, _routing_scale_op(relu(n2)).reshape(B, 1, J))
 
 
-def _fc_step_taped(c: Tensor, u_hat: Tensor) -> Tensor:
-    """`_fc_step` on the tape, for the differentiated final round."""
+def _fc_step(c: Tensor, u_hat: Tensor) -> Tensor:
+    """FC evidence update u_hat_ij . squash(sum_i c_ij u_hat_ij)."""
     return einsum2("bnjd,bjd->bnj", u_hat, squash(einsum2("bnj,bnjd->bjd", c, u_hat)))
 
 
-def _route(step, step_taped, operands, shape, dtype, r: int, grad_mode: str, freeze_key, trace) -> Tensor:
+def _route(step, operands, shape, dtype, r: int, grad_mode: str, freeze_key, trace) -> Tensor:
     """The coupling schedule of both routed layers; returns the final couplings.
 
     r=1 gives uniform couplings without calling `operands`, so the 1x1
     layer builds no Gram matrix. Otherwise `step` runs r-1 detached rounds
-    on the arrays of `operands()` ("none"), or r-2 followed by a taped
-    `step_taped` round ("last"). `frozen_routing` pins the detached logits.
+    on gradient-free wrappers of `operands()` ("none"), or r-2 of them
+    followed by one round on the taped operands ("last"). `frozen_routing`
+    pins the detached logits.
     """
     if grad_mode not in ("none", "last"):
         raise RoutingError(f"grad_mode must be 'none' or 'last', got {grad_mode!r}")
@@ -300,18 +282,18 @@ def _route(step, step_taped, operands, shape, dtype, r: int, grad_mode: str, fre
         c = Tensor(np.full(shape, 1.0 / shape[-1], dtype=dtype))
     else:
         taped_ops = operands()
-        arrays = tuple(t.data for t in taped_ops)
+        detached = tuple(Tensor(t.data) for t in taped_ops)
         last = grad_mode == "last"
         ctx = frozen_routing._active
         cache = ctx.cache if ctx is not None and freeze_key is not None else {}
         if freeze_key not in cache:
-            cache[freeze_key] = _iterate(step, arrays, shape, dtype, r - 2 if last else r - 1, trace)
+            cache[freeze_key] = _iterate(step, detached, shape, dtype, r - 2 if last else r - 1, trace)
         b = cache[freeze_key]
         c = Tensor(coupling_softmax(b))
         if last:
             if trace is not None:
                 trace.append(c.data.copy())
-            c = softmax_lastdim(Tensor(b) + step_taped(c, *taped_ops))
+            c = softmax_lastdim(Tensor(b) + step(c, *taped_ops))
     if trace is not None:
         trace.append(c.data.copy())
     return c
@@ -346,7 +328,7 @@ def conv1x1_capsule_forward(
     def operands():
         return einsum2("bis,bls->bil", Fm, Fm), W
 
-    c = _route(_gram_step, _gram_step_taped, operands, (B, I, J), Fm.dtype, params.iterations, grad_mode, freeze_key, trace)
+    c = _route(_gram_step, operands, (B, I, J), Fm.dtype, params.iterations, grad_mode, freeze_key, trace)
     out = einsum2("bij,bis->bjs", mul(c, W), Fm)
     return out.reshape(J, S) if squeeze else out
 
@@ -376,6 +358,6 @@ def route_fc(
     B = u.shape[0]
 
     u_hat = einsum2("bnd,njde->bnje", u, W)  # (B, N, J, d_out)
-    c = _route(_fc_step, _fc_step_taped, lambda: (u_hat,), (B, N, J), u_hat.dtype, params.iterations, grad_mode, freeze_key, trace)
+    c = _route(_fc_step, lambda: (u_hat,), (B, N, J), u_hat.dtype, params.iterations, grad_mode, freeze_key, trace)
     v = squash(einsum2("bnj,bnjd->bjd", c, u_hat))
     return v.reshape(J, d_out) if squeeze else v

@@ -86,6 +86,12 @@ class TestRunConfig:
         with pytest.raises(DataError, match="key = value"):
             RunConfig.from_file(p)
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("input_size = 64\nalpha = 0.002\ninput_size = 96\n")
+        with pytest.raises(DataError, match=r"run.cfg:3: .*'input_size'.* line 1"):
+            RunConfig.from_file(p)
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -198,7 +204,9 @@ class TestTrain:
 
     def test_config_file_and_flag_precedence(self, dataset, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("\n".join(TINY) + "\nrouting_iters=4\n")
+        # the file sets each key once (a repeated key is an error), routing_iters to 4
+        tiny = [kv for kv in TINY if not kv.startswith("routing_iters=")]
+        cfgfile.write_text("\n".join(tiny) + "\nrouting_iters=4\n")
         out = tmp_path / "c.ckpt"
         rc = main(
             [
@@ -280,6 +288,27 @@ class TestEval:
             ]
         )
         assert rc == 2
+
+    def test_box_class_out_of_range_exit_2_without_report(self, dataset, trained, tmp_path, capsys):
+        lines = (dataset / "test.csv").read_text().splitlines()
+        path = lines[1].split(",")[0]
+        lines[1] = f"{path},,9:1:1:4:4"  # 4 classes: box class 9 does not exist
+        manifest = tmp_path / "bad.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "r.csv"
+        rc = main(
+            [
+                "eval",
+                "--manifest", str(manifest),
+                "--images-root", str(dataset),
+                "--ckpt", str(trained),
+                "--report", str(report),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert path in err and "9 out of range" in err
+        assert not any(tmp_path.glob("r.csv*"))
 
 
 class TestGradcam:

@@ -294,9 +294,9 @@ class TestKernelRouting:
                 conv1x1_capsule_forward(Tensor(F[None].astype(np.float32)), params, grad_mode=mode)
         # a corrupted Gram matrix still aborts
         for dt in (np.float32, np.float64):
-            W, c = np.ones((I, J), dtype=dt), np.full((I, J), 1.0 / J, dtype=dt)
+            W, c = np.ones((I, J), dtype=dt), np.full((1, I, J), 1.0 / J, dtype=dt)
             with pytest.raises(RoutingNumericalError):
-                routing._agreement_terms(-np.eye(I, dtype=dt), W, c)
+                routing._gram_step(Tensor(c), Tensor(-np.eye(I, dtype=dt)[None]), Tensor(W))
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +455,25 @@ class TestRouteFc:
             assert finite_diff_check(loss_wrt_w, W) <= 1e-4
         with frozen_routing():
             assert finite_diff_check(loss_wrt_u, u) <= 1e-4
+
+
+@pytest.mark.parametrize("grad_mode", ["none", "last"])
+def test_detached_rounds_leave_no_tape_records(grad_mode):
+    # the detached rounds run the layer's one evidence update on
+    # gradient-free operands, so the tape is as long at r = 5 as at r = 2
+    rng = np.random.default_rng(20)
+    feats = Tensor(rng.standard_normal((2, 4, 7)), requires_grad=True)
+    W1 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    u = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    W2 = Tensor(rng.standard_normal((3, 2, 4, 5)) * 0.5, requires_grad=True)
+    layers = {
+        "conv1x1": lambda r: conv1x1_capsule_forward(feats, Conv1x1CapsuleParams(W1, r), grad_mode),
+        "fc": lambda r: route_fc(u, FcCapsuleParams(W2, r), grad_mode),
+    }
+    for name, layer in layers.items():
+        counts = []
+        for r in range(2, 6):
+            with Tape() as tape:
+                layer(r)
+            counts.append(len(tape.records))
+        assert len(set(counts)) == 1, (name, counts)

@@ -18,8 +18,6 @@ from capsroute.tensor import (
     einsum2,
     finite_diff_check,
     relu,
-    softmax_lastdim,
-    vec_norm,
 )
 
 
@@ -709,55 +707,11 @@ class TestFiniteDiff:
         x = Tensor(np.array([1.0, 2.0, -1.5]))
         assert finite_diff_check(lambda t: (t * t).sum(), x) <= 1e-8
 
-    def test_conv_input_and_kernel(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((2, 2, 6, 6)))
-        k = Tensor(rng.standard_normal((3, 2, 3, 3)))
-        assert finite_diff_check(lambda t: conv2d(t, k, stride=2, padding="same").sum(), x) <= 1e-4
-        assert finite_diff_check(lambda t: (conv2d(x, t) * conv2d(x, t)).sum(), k) <= 1e-4
-
-    @pytest.mark.parametrize("mode,padding", [("max", "valid"), ("avg", "valid"), ("max", "same"), ("avg", "same")])
-    def test_pool_gradients(self, mode, padding):
-        rng = np.random.default_rng(12)
-        x = Tensor(rng.standard_normal((2, 2, 7, 7)))
-
-        def f(t):
-            y = pool2d(t, mode, 3, 2, padding)
-            return (y * y).sum()
-
-        assert finite_diff_check(f, x) <= 1e-4
-
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_batchnorm_gradients(self, mode):
-        rng = np.random.default_rng(13)
-        x = Tensor(rng.standard_normal((4, 3, 5, 5)))
-        gamma = Tensor(rng.standard_normal(3) + 1.0)
-        beta = Tensor(rng.standard_normal(3))
-        state = BatchNormState.fresh(3)
-        state.running_mean = rng.standard_normal(3)
-        state.running_var = rng.random(3) + 0.5
-        # random weights break normalization invariances that would
-        # otherwise make the loss (nearly) constant in x
-        w = Tensor(rng.standard_normal(x.shape))
-
-        def loss_of(t, g, b):
-            y = batchnorm(t, g, b, state, mode=mode) * w
-            return (y * y).sum()
-
-        assert finite_diff_check(lambda t: loss_of(t, gamma, beta), x) <= 1e-4
-        assert finite_diff_check(lambda t: loss_of(x, t, beta), gamma) <= 1e-4
-        assert finite_diff_check(lambda t: loss_of(x, gamma, t), beta) <= 1e-4
-
     def test_matmul_einsum_softmax_norm(self):
+        # the plain einsum2, softmax and vec_norm cases, and conv, pool and
+        # batchnorm, are checked by criterion 3 (`checks._op_checks`); this
+        # adds a batched spec, the routed 1x1 combination, under a squared loss
         rng = np.random.default_rng(14)
-        a = Tensor(rng.standard_normal((3, 4)))
-        b = Tensor(rng.standard_normal((4, 5)))
-        assert finite_diff_check(lambda t: einsum2("ij,jk->ik", a, t).sum(), b) <= 1e-4
-        c = Tensor(rng.standard_normal((5, 6)))
-        assert finite_diff_check(lambda t: (softmax_lastdim(t) * softmax_lastdim(t)).sum(), c) <= 1e-4
-        v = Tensor(rng.standard_normal((4, 3)) + 0.5)
-        assert finite_diff_check(lambda t: vec_norm(t, axis=-1).sum(), v) <= 1e-4
-        # a batched spec, the routed 1x1 combination, under a squared loss
         cw = Tensor(rng.standard_normal((2, 3, 4)))
         f = Tensor(rng.standard_normal((2, 3, 5)))
         for fn, x in (
