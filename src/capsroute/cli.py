@@ -149,7 +149,11 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         cfg, first = cls(), {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: cannot be read as text: {e}")
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

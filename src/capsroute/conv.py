@@ -15,12 +15,11 @@ per frequency, irfft2 and a crop; both VJPs stay in the frequency domain.
 "same" padding is symmetric zero padding with the extra cell on the high
 side when the deficit is odd; output size is ceil(in / stride). Pooling
 with "same" padding excludes the padded cells (max ignores them, average
-divides by the in-bounds count). Max pooling reads every window cell as a
-unit-stride slice of one of the stride^2 phase planes of its padded input,
-and its gradient is gathered per plane and written to the input gradient
-once; average pooling sums its taps in row-major window order. Batch
-normalization reduces over a (B, C, H*W) view of its input and uses the
-closed-form gradient.
+divides by the in-bounds count). Both pooling modes read each window cell
+as one strided view of the input, padded once, combine those taps in
+row-major window order, and add each tap's gradient share into one padded
+input gradient. Batch normalization reduces over a (B, C, H*W) view of
+its input and uses the closed-form gradient.
 """
 
 from __future__ import annotations
@@ -212,34 +211,6 @@ def _conv2d_fft(x: Tensor, kernel: Tensor, out_hw: tuple, pad_lo: tuple, grid: t
     return record(out, (x, kernel), vjp)
 
 
-def _phases(n: int, lo: int, hi: int, stride: int, size: int) -> list[tuple[int, int, int, int]]:
-    """One entry per phase a < min(stride, size) of a padded axis, the
-    phases some window cell reads. Phase a holds padded cells stride*r + a;
-    its entry is (plane extent, first plane index r0 that is in bounds,
-    the input index h0 it holds, the number of input cells it holds).
-    """
-    phases = []
-    for a in range(min(stride, size)):
-        h0 = (a - lo) % stride
-        phases.append((len(range(a, lo + n + hi, stride)), (h0 + lo - a) // stride, h0, len(range(h0, n, stride))))
-    return phases
-
-
-def _phase_planes(x: np.ndarray, stride: int, rows: list, cols: list) -> dict:
-    """Contiguous phase planes of x padded with -inf: plane (a, b) holds
-    padded cell (stride*r + a, stride*c + b) at (r, c)."""
-    B, C = x.shape[:2]
-    planes = {}
-    for a, (nr, r0, h0, nh) in enumerate(rows):
-        for b, (nc, c0, w0, nw) in enumerate(cols):
-            p = np.empty((B, C, nr, nc), dtype=x.dtype)
-            p[:, :, r0 : r0 + nh, c0 : c0 + nw] = x[:, :, h0::stride, w0::stride]
-            for border in (p[:, :, :r0], p[:, :, r0 + nh :], p[:, :, :, :c0], p[:, :, :, c0 + nw :]):
-                border[...] = -np.inf
-            planes[a, b] = p
-    return planes
-
-
 def _in_bounds(n_out: int, n: int, lo: int, size: int, stride: int, dtype) -> np.ndarray:
     """Number of in-bounds cells of each window along one padded axis."""
     start = np.arange(n_out) * stride - lo
@@ -249,16 +220,15 @@ def _in_bounds(n_out: int, n: int, lo: int, size: int, stride: int, dtype) -> np
 def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid") -> Tensor:
     """Max or average pooling.
 
-    Max reads window cell (i, j) of every window as a unit-stride slice of
-    one of the stride^2 phase planes of the padded input (`_phase_planes`)
-    and reduces tap-wise, one elementwise maximum per cell. Its gradient
-    goes to the first cell in row-major window order that equals the
-    window's maximum. It is accumulated tap by tap into the planes'
-    gradients, and each plane is then written once to its strided cells
-    of the input gradient. Average sums the taps in row-major window order
-    (the order a per-window loop adds in) and divides by the number of
-    in-bounds cells; its gradient spreads uniformly over the cells that
-    contributed (padded cells never contribute).
+    Both modes read window cell (i, j) of every window as one strided view
+    (`_tap`) of the input, padded once when "same" needs it (with -inf for
+    max, 0 for average), and combine the taps in row-major window order
+    (the order a per-window loop adds in): an elementwise maximum, or a
+    sum divided by the number of in-bounds cells. The backward adds each
+    tap's share into one zeroed padded gradient, cropped at the end. Max
+    sends a window's gradient to the first cell in row-major window order
+    that equals its maximum; average spreads it uniformly over the cells
+    that contributed (padded cells never contribute).
     """
     if x.ndim != 4:
         raise ShapeError(f"pool2d expects 4D input, got {x.shape}")
@@ -271,61 +241,42 @@ def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid")
     B, C, H, W = x.shape
     oH, pt, pb = _out_size(H, size, stride, padding)
     oW, pl, pr = _out_size(W, size, stride, padding)
+    dt = x.data.dtype
     taps = [(i, j) for i in range(size) for j in range(size)]
+    padded = pt or pb or pl or pr
+    if padded:
+        xp = np.full((B, C, H + pt + pb, W + pl + pr), -np.inf if mode == "max" else 0, dtype=dt)
+        xp[:, :, pt : pt + H, pl : pl + W] = x.data
+    else:
+        xp = x.data
 
-    if mode == "max":
-        rows = _phases(H, pt, pb, stride, size)
-        cols = _phases(W, pl, pr, stride, size)
-        planes = _phase_planes(x.data, stride, rows, cols)
+    combine = np.maximum if mode == "max" else np.add
+    acc = _tap(xp, 0, 0, stride, oH, oW).copy()
+    for i, j in taps[1:]:
+        combine(acc, _tap(xp, i, j, stride, oH, oW), out=acc)
+    if mode == "avg":
+        if padded:
+            count = np.outer(_in_bounds(oH, H, pt, size, stride, dt), _in_bounds(oW, W, pl, size, stride, dt))
+        else:
+            count = float(size * size)
+        acc /= count
+    out = Tensor(acc)
 
-        def tap(p, i, j):
-            return p[i % stride, j % stride][:, :, i // stride : i // stride + oH, j // stride : j // stride + oW]
-
-        top = tap(planes, 0, 0).copy()
-        for i, j in taps[1:]:
-            np.maximum(top, tap(planes, i, j), out=top)
-        out = Tensor(top)
-
-        def vjp(g):
-            dplanes = {ab: np.zeros(p.shape, dtype=p.dtype) for ab, p in planes.items()}
-            unclaimed = np.ones(top.shape, dtype=bool)
-            first = np.empty(top.shape, dtype=bool)
-            share = np.empty(top.shape, dtype=x.data.dtype)
-            for i, j in taps:
+    def vjp(g):
+        dxp = np.zeros(xp.shape, dtype=dt)
+        if mode == "max":
+            unclaimed = np.ones(acc.shape, dtype=bool)
+            first = np.empty(acc.shape, dtype=bool)
+            share = np.empty(acc.shape, dtype=dt)
+        else:
+            share = g / count
+        for i, j in taps:
+            if mode == "max":
                 # windows whose maximum sits at this cell and at no earlier one
-                np.equal(tap(planes, i, j), top, out=first)
+                np.equal(_tap(xp, i, j, stride, oH, oW), acc, out=first)
                 first &= unclaimed
                 unclaimed ^= first
                 np.multiply(g, first, out=share)
-                dtap = tap(dplanes, i, j)
-                dtap += share
-            # the planes partition the input, except for the phases no
-            # window cell reads when stride > size
-            dx = (np.empty if stride <= size else np.zeros)(x.shape, dtype=x.data.dtype)
-            for (a, b), dp in dplanes.items():
-                (_, r0, h0, nh), (_, c0, w0, nw) = rows[a], cols[b]
-                dx[:, :, h0::stride, w0::stride] = dp[:, :, r0 : r0 + nh, c0 : c0 + nw]
-            return (dx,)
-
-        return record(out, (x,), vjp)
-
-    padded = pt or pb or pl or pr
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if padded else x.data
-    total = _tap(xp, 0, 0, stride, oH, oW).copy()
-    for i, j in taps[1:]:
-        total += _tap(xp, i, j, stride, oH, oW)
-    if padded:
-        dt = x.data.dtype
-        count = np.outer(_in_bounds(oH, H, pt, size, stride, dt), _in_bounds(oW, W, pl, size, stride, dt))
-    else:
-        count = float(size * size)
-    total /= count
-    out = Tensor(total)
-
-    def vjp(g):
-        share = g / count
-        dxp = np.zeros((B, C, H + pt + pb, W + pl + pr), dtype=x.data.dtype)
-        for i, j in taps:
             dtap = _tap(dxp, i, j, stride, oH, oW)
             dtap += share
         return (dxp[:, :, pt : pt + H, pl : pl + W],)

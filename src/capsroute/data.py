@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,7 +90,10 @@ def _box_is_real(box) -> bool:
 
 def load_manifest(path) -> list[ManifestEntry]:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: cannot be read as text: {e}")
     if not lines or lines[0].strip() != "path,labels,boxes":
         raise DataError(f"{path}: expected header 'path,labels,boxes'")
     entries = []
@@ -425,13 +429,16 @@ def load_checkpoint(path) -> Checkpoint:
     for name, (tag, shape, offset, nbytes) in directory.items():
         if tag not in _TAG_DTYPES:
             raise DataError(f"{path}: tensor {name} has unknown dtype tag {tag!r}")
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)  # Python ints: no int64 wrap
         if nbytes != expected * _TAG_DTYPES[tag].itemsize:
             raise DataError(f"{path}: tensor {name} expected {expected} values, directory gives {nbytes} bytes")
         if offset + nbytes > total:
             raise DataError(f"{path}: tensor {name} bytes {offset}..{offset + nbytes} run past the {total}-byte payload")
         arr = np.frombuffer(blob[offset : offset + nbytes], dtype=_TAG_DTYPES[tag])
-        ckpt.tensors[name] = arr.reshape(shape).copy()
+        try:
+            ckpt.tensors[name] = arr.reshape(shape).copy()
+        except ValueError as e:  # an empty tensor whose other extents numpy cannot index
+            raise DataError(f"{path}: tensor {name} has unsupported shape {shape}: {e}")
     return ckpt
 
 

@@ -311,24 +311,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _parse_spec(spec: str, a_ndim: int, b_ndim: int) -> tuple[str, str, str]:
-    """Split a two-operand spec into its subscripts, spelling a leading
-
-    "..." out as letters the spec does not use, right-aligned as numpy
-    aligns them.
-    """
-    lhs, out_sub = spec.replace(" ", "").split("->")
-    a_sub, b_sub = lhs.split(",")
-    spare = "".join(ch for ch in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if ch not in spec)
-    a_rank, b_rank = (ndim - len(sub) + 3 if "..." in sub else 0 for sub, ndim in ((a_sub, a_ndim), (b_sub, b_ndim)))
-    width = max(a_rank, b_rank, 0)
-    return (
-        a_sub.replace("...", spare[width - a_rank : width]),
-        b_sub.replace("...", spare[width - b_rank : width]),
-        out_sub.replace("...", spare[:width]),
-    )
-
-
 @functools.lru_cache(maxsize=1024)
 def _matmul_plan(spec: str, a_shape: tuple, b_shape: tuple):
     """How `_contract` maps `spec` onto one batched matmul (shapes only, no data).
@@ -344,7 +326,8 @@ def _matmul_plan(spec: str, a_shape: tuple, b_shape: tuple):
     output's axis order. Returns (swap, a_axes, a_nd, b_axes, b_nd,
     out_nd, out_axes).
     """
-    a_sub, b_sub, out_sub = _parse_spec(spec, len(a_shape), len(b_shape))
+    lhs, out_sub = spec.replace(" ", "").split("->")
+    a_sub, b_sub = lhs.split(",")
     for sub, shape in ((a_sub, a_shape), (b_sub, b_shape)):
         if len(sub) != len(shape) or len(set(sub)) != len(sub):
             raise ShapeError(f"spec {spec!r} does not fit operand shape {shape} (subscripts {sub!r})")

@@ -86,6 +86,12 @@ class TestRunConfig:
         with pytest.raises(DataError, match="key = value"):
             RunConfig.from_file(p)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"alpha = 0.002 # \xff\n")
+        with pytest.raises(DataError, match="run.cfg: cannot be read as text"):
+            RunConfig.from_file(p)
+
     def test_key_set_twice_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("input_size = 64\nalpha = 0.002\ninput_size = 96\n")
@@ -180,6 +186,13 @@ class TestTrain:
             ]
         )
         assert rc == 2
+
+    def test_non_utf8_manifest_exit_2(self, dataset, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(b"path,labels,boxes\n\xff.pgm,0,\n")
+        rc = main(["train", "--manifest", str(manifest), "--images-root", str(dataset), "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        assert "m.csv: cannot be read as text" in capsys.readouterr().err
 
     def test_rejected_input_size_exit_2_without_checkpoint(self, dataset, tmp_path, capsys):
         out = tmp_path / "x.ckpt"

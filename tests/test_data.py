@@ -68,6 +68,12 @@ class TestManifest:
         with pytest.raises(DataError, match="header"):
             load_manifest(p)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"path,labels,boxes\na\xff.pgm,0,\n")
+        with pytest.raises(DataError, match="m.csv: cannot be read as text"):
+            load_manifest(p)
+
     @pytest.mark.parametrize("path", ["a,b.pgm", "a\nb.pgm", "a.pgm\n", " a.pgm", ""])
     def test_unreadable_path_rejected_on_write(self, tmp_path, path):
         with pytest.raises(DataError, match="image path"):
@@ -280,6 +286,10 @@ class TestCheckpoint:
             ("tensor b f64 2 32 16", "tensor a f64 2 32 16"),  # a second `a` would read b's bytes
             pytest.param("tensor a f64 4 0 32", "config k=1\nconfig k=2\ntensor a f64 4 0 32", id="config-twice"),
             pytest.param("tensor a f64 4 0 32", "rng 1\nrng 2\ntensor a f64 4 0 32", id="rng-twice"),
+            # 2**64 values would wrap to 0 in int64 and pass the byte check
+            pytest.param("tensor a f64 4 0 32", "tensor a f32 4294967296x4294967296 0 0", id="extent-wraps-to-0"),
+            pytest.param("tensor a f64 4 0 32", "tensor a f64 9223372036854775807x2 0 32", id="extent-wraps-negative"),
+            pytest.param("tensor a f64 4 0 32", "tensor a f64 0x9223372036854775807 0 0", id="empty-extent-too-big"),
         ],
     )
     def test_hostile_directory_rejected(self, tmp_path, good, bad):
@@ -289,6 +299,13 @@ class TestCheckpoint:
         assert good.encode() in raw
         p.write_bytes(raw.replace(good.encode(), bad.encode()))
         with pytest.raises(DataError):
+            load_checkpoint(p)
+
+    def test_value_count_reported_without_wrap(self, tmp_path):
+        p = tmp_path / "c.ckpt"
+        save_checkpoint(p, Checkpoint(tensors={"a": np.arange(4.0)}))
+        p.write_bytes(p.read_bytes().replace(b"tensor a f64 4 0 32", b"tensor a f64 9223372036854775807x2 0 32"))
+        with pytest.raises(DataError, match="expected 18446744073709551614 values"):
             load_checkpoint(p)
 
     def test_rng_token_roundtrip(self):

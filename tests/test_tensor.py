@@ -343,6 +343,12 @@ class TestPool2d:
             ((1, 2, 7, 6), 3, 1, "same"),
             ((1, 2, 11, 10), 2, 3, "valid"),
             ((1, 2, 1, 1), 3, 2, "same"),
+            # the stem's 3/4 pool at each padding the network accepts:
+            # extent 0 mod 4 pads nothing, 1 mod 4 pads 1/1, 2 mod 4 pads 0/1
+            ((2, 3, 8, 8), 3, 4, "same"),
+            ((2, 3, 9, 9), 3, 4, "same"),
+            ((2, 3, 10, 10), 3, 4, "same"),
+            ((2, 3, 12, 13), 4, 4, "valid"),
         ],
     )
     def test_max_bitwise_matches_window_loop_oracle(self, shape, size, stride, padding, dtype):
@@ -691,6 +697,8 @@ class TestEinsum2:
             einsum2("ij,kl->ik", a, Tensor(np.ones((2, 2))))  # j summed over one operand only
         with pytest.raises(ShapeError):
             einsum2("ijk,jk->ik", a, Tensor(np.ones((3, 2))))  # three subscripts, two axes
+        with pytest.raises(ShapeError):
+            einsum2("...ij,...jk->...ik", a, Tensor(np.ones((3, 4))))  # no ellipsis spelling
 
 
 # ---------------------------------------------------------------------------
