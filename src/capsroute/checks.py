@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import BatchNormState, batchnorm, conv2d, pool2d
+from .conv import BatchNormState, batchnorm, conv2d, conv_maxpool, pool2d
 from .evaluation import BBox, auc, iobb
 from .model import NetworkConfig, build_network
 from .routing import (
@@ -192,6 +192,12 @@ def _op_checks():
             return finite_diff_check(f, Tensor(caps.copy()))
 
     yield "route-fc/capsules", fc_u
+
+    # conv extent 5: the stem's 3/4 max pool pads one cell on each side
+    stem_img = rng.standard_normal((2, 3, 10, 10))
+    yield "conv_maxpool/kernel", lambda: finite_diff_check(
+        lambda t: wsq(conv_maxpool(Tensor(stem_img), t, 2, 3, 4)), Tensor(rng.standard_normal((4, 3, 7, 7)))
+    )
 
 
 def gradient_checks():

@@ -275,6 +275,10 @@ def cmd_train(args) -> int:
         else None
     )
     rng = np.random.default_rng(args.seed)
+    out = Path(args.out)
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {out} is a directory; give the checkpoint's file name")
+    out.parent.mkdir(parents=True, exist_ok=True)
 
     rows = ["epoch,lambda_plus,lambda_minus,mean_loss"]
     for epoch in range(args.epochs):
@@ -285,8 +289,6 @@ def cmd_train(args) -> int:
             f"(pos {m.pos_score_mean:.3f}, neg {m.neg_score_mean:.3f})"
         )
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, _checkpoint_from(net, cfg, args.baseline, adam, rng))
     metrics_path = out.with_suffix(out.suffix + ".metrics.csv")
     metrics_path.write_text("\n".join(rows) + "\n")

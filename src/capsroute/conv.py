@@ -18,8 +18,13 @@ with "same" padding excludes the padded cells (max ignores them, average
 divides by the in-bounds count). Both pooling modes read each window cell
 as one strided view of the input, padded once, combine those taps in
 row-major window order, and add each tap's gradient share into one padded
-input gradient. Batch normalization reduces over a (B, C, H*W) view of
-its input and uses the closed-form gradient.
+input gradient. `conv_maxpool` is a "same" convolution followed by a
+"same" max pool in one op that computes only the conv cells the pool
+reads: one im2col whose windows cover a whole pool window, one GEMM
+against the kernel placed once per pool cell, and `pool2d`'s order of
+maxima, so its output is bitwise the pair's (see the function). Batch
+normalization reduces over a (B, C, H*W) view of its input and uses the
+closed-form gradient.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft2, next_fast_len, rfft2
 
-from .tensor import ShapeError, Tensor, record
+from .tensor import AutodiffError, ShapeError, Tensor, record
 
 # im2col flops over FFT-path flops above which `conv2d` takes the FFT
 # path; measured, see `_fft_pays`
@@ -282,6 +287,97 @@ def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid")
         return (dxp[:, :, pt : pt + H, pl : pl + W],)
 
     return record(out, (x,), vjp)
+
+
+def conv_maxpool(x: Tensor, kernel: Tensor, stride: int, size: int, pool_stride: int) -> Tensor:
+    """`conv2d(x, kernel, stride, "same")` then `pool2d(., "max", size,
+    pool_stride, "same")`, computing only the conv cells the pool reads.
+
+    Cell (a, b) of pool window (m, n) is conv output (pool_stride*m - pad
+    + a, ...), which reads input rows s*m + stride*a + i + const, with
+    s = stride * pool_stride. So all cells of a window read one e x e
+    input window, e = stride * (size - 1) + k. The op gathers those
+    windows at stride s as one im2col copy (columns in `conv2d`'s (i, j, c)
+    order) and multiplies it by the kernel placed at the size**2 offsets
+    (stride*a, stride*b) of an e x e grid. That gives every window's cells
+    as (B, O, pH, pW) blocks; cells outside the conv's output (the pool's
+    padding) are set to -inf, and the blocks are combined by `np.maximum`
+    in row-major (a, b) order.
+
+    Each cell is the dot product `conv2d` computes, its taps in the same
+    order with exact zero products between them, and the maxima are taken
+    in `pool2d`'s order. So the output is bitwise the unfused pair's when
+    OpenBLAS runs both GEMMs on its blocked kernels, which it does once a
+    GEMM's output has more than about 1200 entries (a stem of 16 or more
+    maps at every input size and batch the network accepts); below that
+    it rounds on another path, within a few ulp. NaN input gives the
+    pair's NaNs (for stride <= k); an inf input gives NaN (inf * 0) in
+    every cell of the windows that read it.
+
+    The backward sends g to each window's first maximal cell, as `pool2d`
+    does, and gets the kernel gradient from one batched GEMM against the
+    same patches, summed over the placements: it differs from the pair's
+    by summation order only. There is no input gradient, since the
+    network never differentiates with respect to its image.
+    """
+    if x.requires_grad:
+        raise AutodiffError("conv_maxpool has no input gradient; the input must not require one")
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise ShapeError(f"conv_maxpool expects 4D input and kernel, got {x.shape} and {kernel.shape}")
+    B, C, H, W = x.shape
+    O, Ck, k, kw = kernel.shape
+    if C != Ck or k != kw:
+        raise ShapeError(f"conv_maxpool expects a square kernel over {C} channels, got {kernel.shape}")
+    if min(stride, size, pool_stride) < 1:
+        raise ValueError(f"stride, size and pool_stride must be >= 1, got {stride}, {size}, {pool_stride}")
+    oH, pt, _ = _out_size(H, k, stride, "same")
+    oW, pl, _ = _out_size(W, k, stride, "same")
+    pH, qt, _ = _out_size(oH, size, pool_stride, "same")
+    pW, ql, _ = _out_size(oW, size, pool_stride, "same")
+    s, e = stride * pool_stride, stride * (size - 1) + k
+    # window (m, n) reads padded rows s*m + [0, e) and columns s*n + [0, e)
+    top, left = stride * qt + pt, stride * ql + pl
+    dt = x.data.dtype
+    xp = np.zeros((B, C, max(top + H, s * pH - s + e), max(left + W, s * pW - s + e)), dtype=dt)
+    xp[:, :, top : top + H, left : left + W] = x.data
+    win = sliding_window_view(xp, (e, e), axis=(2, 3))[:, :, : s * pH : s, : s * pW : s]
+    cols = win.transpose(0, 2, 3, 4, 5, 1).reshape(B * pH * pW, e * e * C)
+
+    taps = [(a, b) for a in range(size) for b in range(size)]
+    placed = np.zeros((size, size, O, e, e, C), dtype=kernel.data.dtype)
+    for a, b in taps:
+        placed[a, b, :, stride * a : stride * a + k, stride * b : stride * b + k] = kernel.data.transpose(0, 2, 3, 1)
+    # patches on the left as in `conv2d`: with the kernel on the left,
+    # OpenBLAS rounds some edge columns differently
+    y = (cols @ placed.reshape(size * size * O, e * e * C).T).reshape(B, pH * pW, size * size * O)
+    y = np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(B, size, size, O, pH, pW)
+    row0 = pool_stride * np.arange(pH) - qt  # conv row of each window's cell a = 0
+    col0 = pool_stride * np.arange(pW) - ql
+    for a in range(size):
+        y[:, a, :, :, (row0 + a < 0) | (row0 + a >= oH)] = -np.inf
+        y[:, :, a, :, :, (col0 + a < 0) | (col0 + a >= oW)] = -np.inf
+    acc = y[:, 0, 0].copy()
+    for a, b in taps[1:]:
+        np.maximum(acc, y[:, a, b], out=acc)
+    out = Tensor(acc)
+
+    def vjp(g):
+        g = np.ascontiguousarray(g)  # read once per pool cell below
+        share = np.empty(y.shape, dtype=g.dtype)
+        unclaimed = np.ones(acc.shape, dtype=bool)
+        first = np.empty(acc.shape, dtype=bool)
+        for a, b in taps:
+            # windows whose maximum sits at this cell and at no earlier one
+            np.equal(y[:, a, b], acc, out=first)
+            first &= unclaimed
+            unclaimed ^= first
+            np.multiply(g, first, out=share[:, a, b])
+        gp = (share.reshape(B, size * size * O, pH * pW) @ cols.reshape(B, pH * pW, e * e * C)).sum(axis=0)
+        gp = gp.reshape(size, size, O, e, e, C)
+        gk = sum(gp[a, b, :, stride * a : stride * a + k, stride * b : stride * b + k] for a, b in taps)
+        return (None, np.ascontiguousarray(gk.transpose(0, 3, 1, 2)))
+
+    return record(out, (x, kernel), vjp)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -139,6 +140,15 @@ def write_manifest(entries, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _natural(text):
+    """The value of a str or bytes of ASCII digits, else None (also past
+    the 4300 digits `int` converts)."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:
+        return None
+
+
 def load_pgm(path) -> np.ndarray:
     """Binary P5, maxval 255, scaled to [0, 1]."""
     raw = Path(path).read_bytes()
@@ -158,14 +168,14 @@ def load_pgm(path) -> np.ndarray:
             while i < len(raw) and not raw[i : i + 1].isspace():
                 i += 1
             tokens.append(raw[start:i])
-    magic, w, h, maxval = tokens
+    magic, w_text, h_text, maxval = tokens
     if magic != b"P5":
         raise DataError(f"{path}: expected binary PGM magic P5, got {magic!r}")
     if maxval != b"255":
         raise DataError(f"{path}: only maxval 255 supported, got {maxval!r}")
-    if not (w.isdigit() and h.isdigit()) or int(w) < 1 or int(h) < 1:
-        raise DataError(f"{path}: width and height must be integers >= 1, got {w!r} x {h!r}")
-    w, h = int(w), int(h)
+    w, h = _natural(w_text), _natural(h_text)
+    if w is None or h is None or w < 1 or h < 1:
+        raise DataError(f"{path}: width and height must be integers >= 1, got {w_text!r} x {h_text!r}")
     pixels = raw[i + 1 : i + 1 + w * h]
     if len(pixels) != w * h:
         raise DataError(f"{path}: expected {w * h} pixel bytes, found {len(pixels)}")
@@ -344,7 +354,12 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Text directory plus little-endian IEEE-754 payload; byte-stable."""
+    """Text directory plus little-endian IEEE-754 payload; byte-stable.
+
+    The bytes go to a temporary file in `path`'s directory that then
+    replaces `path`, so a write that fails midway leaves the previous
+    checkpoint intact and no temporary file behind.
+    """
     header = io.StringIO()
     header.write(f"{_MAGIC} {ckpt.version}\n")
     for key, value in ckpt.config.items():
@@ -367,10 +382,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         payload.append(buf)
         offset += len(buf)
     header.write(f"data {offset}\n")
-    with open(path, "wb") as f:
-        f.write(header.getvalue().encode("ascii"))
-        for buf in payload:
-            f.write(buf)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header.getvalue().encode("ascii"))
+            for buf in payload:
+                f.write(buf)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -389,9 +411,9 @@ def load_checkpoint(path) -> Checkpoint:
     magic, _, version = line.partition(" ")
     if magic != _MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}, expected {_MAGIC}")
-    if not version.isdigit() or int(version) != _VERSION:
+    if _natural(version) != _VERSION:
         raise DataError(f"{path}: unsupported version {version!r}, expected {_VERSION}")
-    ckpt.version = int(version)
+    ckpt.version = _VERSION
 
     while True:
         line, pos = next_line(pos)
@@ -417,9 +439,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise DataError(f"{path}: tensor {name} appears twice")
             directory[name] = (tag, shape, offset, nbytes)
         elif line.startswith("data "):
-            if not line[len("data ") :].isdigit():
+            total = _natural(line[len("data ") :])
+            if total is None:
                 raise DataError(f"{path}: malformed data line {line!r}")
-            total = int(line[len("data ") :])
             break
         else:
             raise DataError(f"{path}: unrecognized header line {line!r}")

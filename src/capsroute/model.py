@@ -9,7 +9,11 @@ leaves an 8x8 primary capsule grid. The stride-4 pool builds only the
 windows that MaxPool(3, stride 2, "same") followed by Conv(1x1, stride 2)
 would read, and gives the same output and gradients bitwise. That holds
 unless the conv's output extent ceil(n/2) is 3 mod 4, where the two pools
-pad differently; `NetworkConfig.validate` rejects those input sizes.
+pad differently; `NetworkConfig.validate` rejects those input sizes. The
+7x7 conv and the 3/4 pool run as one op, `conv.conv_maxpool`, which
+computes only the conv cells that the pool reads (about 9/16); its
+output is bitwise the pair's, and its kernel gradient differs from the
+pair's by summation order only.
 Dense blocks follow BN-ReLU-Conv(1x1)-BN-ReLU-Conv(3x3) composite layers
 where the 1x1 step is the routed capsule layer; the baseline variant swaps
 it for a plain 1x1 convolution of identical shape.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import BatchNormState, batchnorm, conv2d, pool2d
+from .conv import BatchNormState, batchnorm, conv2d, conv_maxpool, pool2d
 from .routing import (
     Conv1x1CapsuleParams,
     FcCapsuleParams,
@@ -308,10 +312,12 @@ class Network:
     def stem(self, x: Tensor) -> Tensor:
         """Conv 7x7/2, max pool 3/4, conv 1x1/1 and avg pool 2/1: the
 
-        stages `shape_trace` names stem.*.
+        stages `shape_trace` names stem.*. The first two run as one
+        `conv_maxpool`, which computes only the conv cells the pool reads,
+        each as the same dot product `conv2d` takes, so the output is
+        bitwise the two ops'. The image gets no gradient.
         """
-        x = conv2d(x, self.stem_conv1, stride=2, padding="same")
-        x = pool2d(x, "max", 3, 4, padding="same")
+        x = conv_maxpool(x, self.stem_conv1, 2, 3, 4)
         x = conv2d(x, self.stem_conv2, stride=1, padding="valid")
         return pool2d(x, "avg", 2, 1, padding="same")
 

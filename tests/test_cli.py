@@ -212,6 +212,16 @@ class TestTrain:
         assert "input_size 30 is not supported" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_directory_out_exit_2_before_training(self, dataset, tmp_path, capsys):
+        out = tmp_path / "ckpts"
+        out.mkdir()
+        args = ["train", "--manifest", str(dataset / "train.csv"), "--images-root", str(dataset), "--out", str(out)]
+        rc = main(_tiny_args(args + ["--epochs", "1"]))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "is a directory" in captured.err and "epoch 0" not in captured.out
+        assert list(out.iterdir()) == []
+
     def test_missing_required_flag_exit_1(self):
         assert main(["train", "--manifest", "x.csv"]) == 1
 

@@ -3,6 +3,8 @@
 and checkpoint persistence.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -134,7 +136,15 @@ class TestPgm:
         with pytest.raises(DataError, match="maxval"):
             load_pgm(p)
 
-    @pytest.mark.parametrize("header", [b"P5\nab 2\n255\n", b"P5\n-2 -3\n255\n", b"P5\n0 4\n255\n"])
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P5\nab 2\n255\n",
+            b"P5\n-2 -3\n255\n",
+            b"P5\n0 4\n255\n",
+            pytest.param(b"P5\n2 " + b"9" * 5000 + b"\n255\n", id="more-digits-than-int-converts"),
+        ],
+    )
     def test_bad_extent_rejected(self, tmp_path, header):
         # pixel bytes to spare, so only the header check can reject
         p = tmp_path / "bad.pgm"
@@ -250,6 +260,38 @@ class TestCheckpoint:
             assert back.tensors[name].dtype == ck.tensors[name].dtype
             np.testing.assert_array_equal(back.tensors[name], ck.tensors[name])
 
+    def test_write_failing_midway_keeps_previous_checkpoint(self, tmp_path):
+        p = tmp_path / "c.ckpt"
+        save_checkpoint(p, self._sample())
+        before = p.read_bytes()
+        real_open = open
+
+        class HalfWritten:
+            # writes half of the first buffer it is given, then fails
+            def __init__(self, *args):
+                self.f = real_open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, buf):
+                self.f.write(buf[: len(buf) // 2])
+                raise OSError("no space left on device")
+
+        with mock.patch("capsroute.data.open", HalfWritten, create=True), pytest.raises(OSError, match="no space"):
+            save_checkpoint(p, Checkpoint(config={"dtype": "f64"}, tensors={"w": np.ones(3)}))
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_write_leaves_no_temporary_file(self, tmp_path):
+        p = tmp_path / "c.ckpt"
+        save_checkpoint(p, self._sample())
+        save_checkpoint(p, self._sample())
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_save_load_save_byte_identical(self, tmp_path):
         ck = self._sample()
         p1, p2 = tmp_path / "1.ckpt", tmp_path / "2.ckpt"
@@ -290,6 +332,9 @@ class TestCheckpoint:
             pytest.param("tensor a f64 4 0 32", "tensor a f32 4294967296x4294967296 0 0", id="extent-wraps-to-0"),
             pytest.param("tensor a f64 4 0 32", "tensor a f64 9223372036854775807x2 0 32", id="extent-wraps-negative"),
             pytest.param("tensor a f64 4 0 32", "tensor a f64 0x9223372036854775807 0 0", id="empty-extent-too-big"),
+            # more digits than `int` converts
+            pytest.param("CAPS 1", "CAPS " + "1" * 5000, id="version-digits"),
+            pytest.param("data 48", "data " + "4" * 5000, id="data-digits"),
         ],
     )
     def test_hostile_directory_rejected(self, tmp_path, good, bad):

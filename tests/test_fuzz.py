@@ -13,7 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from capsroute.data import DataError, load_checkpoint  # noqa: E402
+from capsroute.cli import CONFIG_REGISTRY, RunConfig  # noqa: E402
+from capsroute.data import DataError, load_checkpoint, load_manifest, load_pgm  # noqa: E402
 
 # small values make consistent directories (and so real loads) common;
 # the edges and large values probe int64 overflow and numpy's shape limits
@@ -51,3 +52,89 @@ def test_checkpoint_tensor_line_loads_or_raises_data_error(tmp_path, tag, shape,
         return
     arr = ckpt.tensors["a"]
     assert arr.shape == tuple(shape) and arr.nbytes == nbytes and offset + nbytes <= total
+
+
+# Any byte string given to a text parser either parses or raises DataError.
+# Each strategy mixes raw bytes with bytes built from the format's own
+# pieces, so that examples get past the first check as well.
+_FUZZ = settings(
+    derandomize=True,
+    max_examples=300,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # each example rewrites the one file
+)
+
+
+def _joined(piece, sep):
+    return st.lists(piece, max_size=6).map(sep.join)
+
+
+_NUMBER = st.sampled_from(
+    [b"0", b"1", b"2", b"3", b"64", b"-1", b"+4", b"007", b"1_0", b"1e3", b"nan", b"inf", b"9" * 5000, b"\xd9\xa3", b""]
+)
+
+
+@st.composite
+def _pgm_from_pieces(draw):
+    w, h = (draw(st.one_of(st.integers(1, 4).map(lambda n: str(n).encode()), _NUMBER)) for _ in range(2))
+    sep = draw(st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n", b"", b"\x0b"]))
+    magic, maxval = draw(st.sampled_from([b"P5"] * 3 + [b"P2", b""])), draw(st.sampled_from([b"255"] * 3 + [b"256", b""]))
+    n = int(w) * int(h) if w.isdigit() and h.isdigit() and len(w + h) < 6 else 0
+    n = max(0, n + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    return sep.join([magic, w, h, maxval]) + b"\n" + draw(st.binary(min_size=n, max_size=n))
+
+
+_PGM = st.one_of(st.binary(max_size=64), _pgm_from_pieces())
+_MANIFEST_CELL = st.one_of(_NUMBER, _joined(_NUMBER, b";"), _joined(_joined(_NUMBER, b":"), b";"), st.binary(max_size=8))
+_MANIFEST = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(
+        st.sampled_from([b"path,labels,boxes", b"path,labels", b""]),
+        st.lists(_joined(_MANIFEST_CELL, b","), max_size=5),
+        st.sampled_from([b"\n", b"\r\n", b"\x85", b"\xe2\x80\xa8"]),
+    ).map(lambda t: t[2].join([t[0], *t[1]])),
+)
+_CONFIG_LINE = st.tuples(
+    st.sampled_from(sorted(CONFIG_REGISTRY) + ["", "unknown", " dtype "]),
+    st.sampled_from([b"=", b" = ", b"==", b""]),
+    st.one_of(_NUMBER, st.sampled_from([b"f32", b"last", b"true", b"0.5", b"1e400", b"-0.0"]), st.binary(max_size=8)),
+    st.sampled_from([b"", b" # comment", b"#"]),
+).map(lambda t: t[0].encode() + t[1] + t[2] + t[3])
+_CONFIG = st.one_of(st.binary(max_size=200), _joined(_CONFIG_LINE, b"\n"))
+
+
+@_FUZZ
+@given(raw=_PGM)
+def test_pgm_bytes_parse_or_raise_data_error(tmp_path, raw):
+    p = tmp_path / "x.pgm"
+    p.write_bytes(raw)
+    try:
+        img = load_pgm(p)
+    except DataError:
+        return
+    assert img.ndim == 2 and img.size >= 1 and 0.0 <= img.min() and img.max() <= 1.0
+
+
+@_FUZZ
+@given(raw=_MANIFEST)
+def test_manifest_bytes_parse_or_raise_data_error(tmp_path, raw):
+    p = tmp_path / "m.csv"
+    p.write_bytes(raw)
+    try:
+        entries = load_manifest(p)
+    except DataError:
+        return
+    assert all(e.path for e in entries)
+
+
+@_FUZZ
+@given(raw=_CONFIG)
+def test_config_bytes_parse_or_raise_data_error(tmp_path, raw):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(raw)
+    try:
+        cfg = RunConfig.from_file(p)
+    except DataError:
+        return
+    assert set(cfg.values) == set(CONFIG_REGISTRY)

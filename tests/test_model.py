@@ -89,10 +89,29 @@ class TestShapeTrace:
 def reference_stem(net, x):
     """The stem in the four stages it is specified by: conv 7x7/2, max pool
     3/2 "same", conv 1x1/2 "valid", avg pool 2/1."""
-    y = conv2d(x, net.stem_conv1, stride=2, padding="same")
+    return reference_stem_tail(net, conv2d(x, net.stem_conv1, stride=2, padding="same"))
+
+
+def reference_stem_tail(net, y):
     y = pool2d(y, "max", 3, 2, padding="same")
     y = conv2d(y, net.stem_conv2, stride=2, padding="valid")
     return pool2d(y, "avg", 2, 1, padding="same")
+
+
+def conv1_grad_bound(net, x, seed):
+    """4 * K * eps(dtype) times the reference stem.conv1 gradient's
+    contraction of absolute values (K = B*oH*oW terms per entry), for the
+    output gradient `stem_and_kernel_grads` draws from `seed`."""
+    leaf = Tensor(conv2d(Tensor(x), Tensor(net.stem_conv1.data), stride=2, padding="same").data, requires_grad=True)
+    with Tape() as tape:
+        out = reference_stem_tail(net, leaf)
+        g = np.random.default_rng(seed).standard_normal(out.shape).astype(x.dtype)
+        backward(tape, (out * Tensor(g)).sum())
+    k = Tensor(np.zeros(net.stem_conv1.shape), requires_grad=True)
+    with Tape() as tape:
+        y = conv2d(Tensor(np.abs(x.astype(np.float64))), k, stride=2, padding="same")
+        backward(tape, (y * Tensor(np.abs(leaf.grad.astype(np.float64)))).sum())
+    return 4 * leaf.grad[:, 0].size * np.finfo(x.dtype).eps * k.grad
 
 
 def stem_and_kernel_grads(stem, net, x, rng):
@@ -105,11 +124,17 @@ def stem_and_kernel_grads(stem, net, x, rng):
 
 
 def assert_stem_matches_reference(net, x, seed):
+    """Output and stem.conv2 gradient bitwise; the stem.conv1 gradient sums
+    in another order, so it is held to `conv1_grad_bound`."""
     got = stem_and_kernel_grads(net.stem, net, x, np.random.default_rng(seed))
     want = stem_and_kernel_grads(lambda t: reference_stem(net, t), net, x, np.random.default_rng(seed))
+    bound = conv1_grad_bound(net, x, seed)
     for name, a, b in zip(("output", "stem.conv1 grad", "stem.conv2 grad"), got, want):
         assert a.dtype == x.dtype and a.shape == b.shape, name
-        np.testing.assert_array_equal(a, b, err_msg=f"{name} at input size {x.shape[-1]}")
+        if name == "stem.conv1 grad":
+            assert np.all(np.abs(a - b) <= bound), f"{name} at input size {x.shape[-1]}"
+        else:
+            np.testing.assert_array_equal(a, b, err_msg=f"{name} at input size {x.shape[-1]}")
 
 
 class TestStem:

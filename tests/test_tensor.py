@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from capsroute import conv
-from capsroute.conv import BatchNormState, batchnorm, conv2d, pool2d
+from capsroute.conv import BatchNormState, batchnorm, conv2d, conv_maxpool, pool2d
 from capsroute.model import NetworkConfig, build_network
 from capsroute.tensor import (
     AutodiffError,
@@ -279,9 +279,10 @@ class TestConvPaths:
         assert np.isfinite(local[1]).all() and np.isfinite(spread[1]).all()
 
     def test_network_convs_take_their_side(self):
-        # the desk recipe's network at 64 px and 256 px; stem and 3x3
-        # convs stay on im2col, the 9x9 head goes to FFT at training and
-        # predict batches, and at batch 1 (Grad-CAM) only at 256 px
+        # the desk recipe's network at 64 px and 256 px; the stem's 7x7 runs
+        # in `conv_maxpool`, its 1x1 and the 3x3 convs stay on im2col, the
+        # 9x9 head goes to FFT at training and predict batches, and at
+        # batch 1 (Grad-CAM) only at 256 px
         recipe = dict(
             down_channels=(16, 16),
             n_dense_blocks=1,
@@ -298,9 +299,9 @@ class TestConvPaths:
                 with recorded_paths() as taken, mock.patch("capsroute.model.conv2d") as spy:
                     spy.side_effect = lambda x, k, *a, **kw: calls.append(k.shape[-1]) or original(x, k, *a, **kw)
                     net.pre_pool(np.zeros((B, 1, size, size), dtype=np.float32), mode="eval")
-                assert calls == [7, 1] + [3] * 4 + [9]
+                assert calls == [1] + [3] * 4 + [9]
                 head_fft = B > 1 or size == 256
-                assert taken == [False, False] + [False] * 4 + [head_fft], (size, B)
+                assert taken == [False] + [False] * 4 + [head_fft], (size, B)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +422,102 @@ class TestPool2d:
                 w_orig = x[:, :, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].mean(axis=(2, 3))
                 w_up = up[:, :, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].mean(axis=(2, 3))
                 np.testing.assert_array_equal(w_orig, w_up)
+
+
+# ---------------------------------------------------------------------------
+# conv_maxpool
+# ---------------------------------------------------------------------------
+
+
+def conv_maxpool_reference(x, k, stride, size, pool_stride, rng):
+    """`conv2d` then `pool2d` max: the output, an output gradient g drawn
+    from rng, and the kernel gradient for g in f64 with a bound of
+    4 * K * eps(x.dtype) times the same contraction of absolute values
+    (K = B*oH*oW terms per entry). The gradient reaching the conv output is
+    the unfused pool's, so both sides route g to the same cells."""
+    y = conv2d(Tensor(x), Tensor(k), stride, "same")
+    leaf = Tensor(y.data, requires_grad=True)
+    with Tape() as tape:
+        out = pool2d(leaf, "max", size, pool_stride, "same")
+        g = rng.standard_normal(out.shape).astype(x.dtype)
+        backward(tape, (out * Tensor(g)).sum())
+    g_conv = leaf.grad.astype(np.float64)
+
+    def kernel_grad(xs, gs):
+        kt = Tensor(np.zeros(k.shape), requires_grad=True)
+        with Tape() as tape:
+            backward(tape, (conv2d(Tensor(xs), kt, stride, "same") * Tensor(gs)).sum())
+        return kt.grad
+
+    x64 = x.astype(np.float64)
+    bound = 4 * g_conv[:, 0].size * np.finfo(x.dtype).eps * kernel_grad(np.abs(x64), np.abs(g_conv))
+    return out.data, g, kernel_grad(x64, g_conv), bound
+
+
+def conv_maxpool_case(x, k, stride, size, pool_stride, g):
+    kt = Tensor(k, requires_grad=True)
+    with Tape() as tape:
+        out = conv_maxpool(Tensor(x), kt, stride, size, pool_stride)
+        backward(tape, (out * Tensor(g)).sum())
+    return out.data, kt.grad
+
+
+class TestConvMaxpool:
+    # (H, W, k, stride, size, pool_stride): the stem's 7x7/2 and 3/4 pool at
+    # conv extents 0, 1 and 2 mod 4 (pool padding 0/0, 1/1 and 0/1), mixed
+    # per axis, then the overlapping 3/2 pool and a stride-1 3x3
+    GEOMETRIES = [
+        (32, 32, 7, 2, 3, 4),
+        (18, 18, 7, 2, 3, 4),
+        (20, 20, 7, 2, 3, 4),
+        (18, 28, 7, 2, 3, 4),
+        (17, 22, 7, 2, 3, 2),
+        (11, 13, 3, 1, 3, 2),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("H,W,k,stride,size,pool_stride", GEOMETRIES)
+    def test_matches_conv_then_pool(self, H, W, k, stride, size, pool_stride, dtype):
+        rng = np.random.default_rng(H * W + k)
+        x = rng.standard_normal((4, 3, H, W)).astype(dtype)
+        ker = rng.standard_normal((8, 3, k, k)).astype(dtype)
+        want_out, g, want_gk, bound = conv_maxpool_reference(x, ker, stride, size, pool_stride, rng)
+        out, gk = conv_maxpool_case(x, ker, stride, size, pool_stride, g)
+        assert out.dtype == dtype and gk.dtype == dtype and gk.flags.c_contiguous
+        np.testing.assert_array_equal(out, want_out)
+        assert np.all(np.abs(gk - want_gk) <= bound)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_small_gemms_round_within_bound(self, dtype):
+        # OpenBLAS rounds GEMMs with few output entries on another path, so
+        # here the output is within 4 * K * eps of the same window maximum
+        # of |x| * |k| conv sums (K = k*k*C terms), not bitwise
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((1, 2, 16, 16)).astype(dtype)
+        ker = rng.standard_normal((2, 2, 7, 7)).astype(dtype)
+        want_out, g, want_gk, bound = conv_maxpool_reference(x, ker, 2, 3, 4, rng)
+        out, gk = conv_maxpool_case(x, ker, 2, 3, 4, g)
+        sums = conv2d(Tensor(np.abs(x.astype(np.float64))), Tensor(np.abs(ker.astype(np.float64))), 2, "same")
+        out_bound = 4 * ker[0].size * np.finfo(dtype).eps * pool2d(sums, "max", 3, 4, "same").data
+        assert np.all(np.abs(out - want_out) <= out_bound)
+        assert np.all(np.abs(gk - want_gk) <= bound)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_input_matches_conv_then_pool(self, dtype):
+        # a NaN reaches the pool windows whose conv cells read it, and only those
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((4, 2, 26, 26)).astype(dtype)
+        x[0, 1, 3, 4] = x[1, 0, 25, 12] = np.nan
+        ker = rng.standard_normal((8, 2, 7, 7)).astype(dtype)
+        out = conv_maxpool(Tensor(x), Tensor(ker), 2, 3, 4).data
+        want = pool2d(conv2d(Tensor(x), Tensor(ker), 2, "same"), "max", 3, 4, "same").data
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        np.testing.assert_array_equal(out, want)
+
+    def test_input_requiring_grad_rejected(self):
+        x = Tensor(np.zeros((1, 1, 16, 16)), requires_grad=True)
+        with pytest.raises(AutodiffError, match="input gradient"):
+            conv_maxpool(x, Tensor(np.zeros((2, 1, 7, 7))), 2, 3, 4)
 
 
 # ---------------------------------------------------------------------------
