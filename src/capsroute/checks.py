@@ -16,11 +16,9 @@ from .evaluation import BBox, auc, iobb
 from .model import NetworkConfig, build_network
 from .routing import (
     Conv1x1CapsuleParams, FcCapsuleParams, conv1x1_capsule_forward, frozen_routing, route_conv1x1_naive, route_fc,
-    squash,
+    softmax_lastdim, squash,
 )
-from .tensor import (
-    Tensor, broadcast_to, concat, einsum2, finite_diff_check, relu, softmax_lastdim, square, tsum, vec_norm,
-)
+from .tensor import Tensor, broadcast_to, concat, einsum2, finite_diff_check, relu, square, tsum, vec_norm
 
 
 def routing_equivalence():

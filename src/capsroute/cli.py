@@ -458,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--images-root", required=True)
     t.add_argument("--config", default=None, help="flat key=value config file")
     t.add_argument("--out", required=True, help="checkpoint path")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_ranged(int, 0), default=0)
     t.add_argument("--epochs", type=_ranged(int, 0), default=10)
     t.add_argument("--baseline", action="store_true", help="plain 1x1 convolutions instead of routing")
     t.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
@@ -469,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--images-root", required=True)
     e.add_argument("--ckpt", required=True)
     e.add_argument("--report", required=True, help="output CSV path")
-    e.add_argument("--tau", type=float, default=0.1)
+    e.add_argument("--tau", type=_ranged(float, 0.0, 1.0), default=0.1)
     e.set_defaults(fn=cmd_eval)
 
     g = sub.add_parser("gradcam", help="write a heatmap PGM and detected box for one image")
@@ -477,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--image", required=True)
     g.add_argument("--class", dest="class_idx", type=int, required=True)
     g.add_argument("--out", required=True)
-    g.add_argument("--tau", type=float, default=0.1)
+    g.add_argument("--tau", type=_ranged(float, 0.0, 1.0), default=0.1)
     g.set_defaults(fn=cmd_gradcam)
 
     b = sub.add_parser("bench", help="time plain vs naive vs kernel routing")
@@ -495,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-test", type=_ranged(int, 0), default=500)
     s.add_argument("--size", type=int, default=64)
     s.add_argument("--n-classes", type=int, default=4)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_ranged(int, 0), default=0)
     s.set_defaults(fn=cmd_synth)
 
     st = sub.add_parser("selftest", help="run the routing-equivalence, gradient, AUC and IoBB checks")

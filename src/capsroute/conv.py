@@ -20,9 +20,11 @@ as one strided view of the input, padded once, combine those taps in
 row-major window order, and add each tap's gradient share into one padded
 input gradient. `conv_maxpool` is a "same" convolution followed by a
 "same" max pool in one op that computes only the conv cells the pool
-reads: one im2col whose windows cover a whole pool window, one GEMM
-against the kernel placed once per pool cell, and `pool2d`'s order of
-maxima, so its output is bitwise the pair's (see the function). Batch
+reads: one im2col whose windows cover a whole pool window and one GEMM
+against the kernel placed once per pool cell. Both max pools take one
+rule from `_first_max` (maxima in row-major tap order, a window's
+gradient to its first maximal tap), so `conv_maxpool`'s output is
+bitwise the pair's. Batch
 normalization reduces over a (B, C, H*W) view of its input and uses the
 closed-form gradient.
 """
@@ -222,18 +224,39 @@ def _in_bounds(n_out: int, n: int, lo: int, size: int, stride: int, dtype) -> np
     return (np.minimum(start + size, n) - np.maximum(start, 0)).astype(dtype)
 
 
+def _first_max(taps: list):
+    """Elementwise maximum of `taps` in order, and `shares(g, out)`, which
+    writes into out[t] g where tap t is the first to equal the maximum and
+    0 elsewhere: each window's gradient goes to one tap."""
+    acc = taps[0].copy()
+    for t in taps[1:]:
+        np.maximum(acc, t, out=acc)
+
+    def shares(g, out):
+        unclaimed = np.ones(acc.shape, dtype=bool)
+        first = np.empty(acc.shape, dtype=bool)
+        for t, dest in zip(taps, out):
+            # windows whose maximum sits at this tap and at no earlier one
+            np.equal(t, acc, out=first)
+            first &= unclaimed
+            unclaimed ^= first
+            np.multiply(g, first, out=dest)
+
+    return acc, shares
+
+
 def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid") -> Tensor:
     """Max or average pooling.
 
     Both modes read window cell (i, j) of every window as one strided view
     (`_tap`) of the input, padded once when "same" needs it (with -inf for
     max, 0 for average), and combine the taps in row-major window order
-    (the order a per-window loop adds in): an elementwise maximum, or a
-    sum divided by the number of in-bounds cells. The backward adds each
-    tap's share into one zeroed padded gradient, cropped at the end. Max
-    sends a window's gradient to the first cell in row-major window order
-    that equals its maximum; average spreads it uniformly over the cells
-    that contributed (padded cells never contribute).
+    (the order a per-window loop adds in): `_first_max`, or a sum divided
+    by the number of in-bounds cells. The backward adds each tap's share
+    into one zeroed padded gradient, cropped at the end. Max sends a
+    window's gradient to its first cell that equals the maximum; average
+    spreads it uniformly over the cells that contributed (padded cells
+    never contribute).
     """
     if x.ndim != 4:
         raise ShapeError(f"pool2d expects 4D input, got {x.shape}")
@@ -255,11 +278,13 @@ def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid")
     else:
         xp = x.data
 
-    combine = np.maximum if mode == "max" else np.add
-    acc = _tap(xp, 0, 0, stride, oH, oW).copy()
-    for i, j in taps[1:]:
-        combine(acc, _tap(xp, i, j, stride, oH, oW), out=acc)
-    if mode == "avg":
+    views = [_tap(xp, i, j, stride, oH, oW) for i, j in taps]
+    if mode == "max":
+        acc, first_max_shares = _first_max(views)
+    else:
+        acc = views[0].copy()
+        for v in views[1:]:
+            acc += v
         if padded:
             count = np.outer(_in_bounds(oH, H, pt, size, stride, dt), _in_bounds(oW, W, pl, size, stride, dt))
         else:
@@ -270,18 +295,11 @@ def pool2d(x: Tensor, mode: str, size: int, stride: int, padding: str = "valid")
     def vjp(g):
         dxp = np.zeros(xp.shape, dtype=dt)
         if mode == "max":
-            unclaimed = np.ones(acc.shape, dtype=bool)
-            first = np.empty(acc.shape, dtype=bool)
-            share = np.empty(acc.shape, dtype=dt)
+            shares = np.empty((len(taps),) + acc.shape, dtype=dt)
+            first_max_shares(g, shares)
         else:
-            share = g / count
-        for i, j in taps:
-            if mode == "max":
-                # windows whose maximum sits at this cell and at no earlier one
-                np.equal(_tap(xp, i, j, stride, oH, oW), acc, out=first)
-                first &= unclaimed
-                unclaimed ^= first
-                np.multiply(g, first, out=share)
+            shares = [g / count] * len(taps)
+        for (i, j), share in zip(taps, shares):
             dtap = _tap(dxp, i, j, stride, oH, oW)
             dtap += share
         return (dxp[:, :, pt : pt + H, pl : pl + W],)
@@ -301,12 +319,12 @@ def conv_maxpool(x: Tensor, kernel: Tensor, stride: int, size: int, pool_stride:
     order) and multiplies it by the kernel placed at the size**2 offsets
     (stride*a, stride*b) of an e x e grid. That gives every window's cells
     as (B, O, pH, pW) blocks; cells outside the conv's output (the pool's
-    padding) are set to -inf, and the blocks are combined by `np.maximum`
-    in row-major (a, b) order.
+    padding) are set to -inf, and `_first_max` combines the blocks in
+    row-major (a, b) order.
 
     Each cell is the dot product `conv2d` computes, its taps in the same
     order with exact zero products between them, and the maxima are taken
-    in `pool2d`'s order. So the output is bitwise the unfused pair's when
+    by `pool2d`'s rule. So the output is bitwise the unfused pair's when
     OpenBLAS runs both GEMMs on its blocked kernels, which it does once a
     GEMM's output has more than about 1200 entries (a stem of 16 or more
     maps at every input size and batch the network accepts); below that
@@ -314,8 +332,8 @@ def conv_maxpool(x: Tensor, kernel: Tensor, stride: int, size: int, pool_stride:
     pair's NaNs (for stride <= k); an inf input gives NaN (inf * 0) in
     every cell of the windows that read it.
 
-    The backward sends g to each window's first maximal cell, as `pool2d`
-    does, and gets the kernel gradient from one batched GEMM against the
+    The backward sends g to each window's first maximal cell by the same
+    rule, and gets the kernel gradient from one batched GEMM against the
     same patches, summed over the placements: it differs from the pair's
     by summation order only. There is no input gradient, since the
     network never differentiates with respect to its image.
@@ -356,22 +374,12 @@ def conv_maxpool(x: Tensor, kernel: Tensor, stride: int, size: int, pool_stride:
     for a in range(size):
         y[:, a, :, :, (row0 + a < 0) | (row0 + a >= oH)] = -np.inf
         y[:, :, a, :, :, (col0 + a < 0) | (col0 + a >= oW)] = -np.inf
-    acc = y[:, 0, 0].copy()
-    for a, b in taps[1:]:
-        np.maximum(acc, y[:, a, b], out=acc)
+    acc, first_max_shares = _first_max([y[:, a, b] for a, b in taps])
     out = Tensor(acc)
 
     def vjp(g):
-        g = np.ascontiguousarray(g)  # read once per pool cell below
         share = np.empty(y.shape, dtype=g.dtype)
-        unclaimed = np.ones(acc.shape, dtype=bool)
-        first = np.empty(acc.shape, dtype=bool)
-        for a, b in taps:
-            # windows whose maximum sits at this cell and at no earlier one
-            np.equal(y[:, a, b], acc, out=first)
-            first &= unclaimed
-            unclaimed ^= first
-            np.multiply(g, first, out=share[:, a, b])
+        first_max_shares(np.ascontiguousarray(g), [share[:, a, b] for a, b in taps])
         gp = (share.reshape(B, size * size * O, pH * pW) @ cols.reshape(B, pH * pW, e * e * C)).sum(axis=0)
         gp = gp.reshape(size, size, O, e, e, C)
         gk = sum(gp[a, b, :, stride * a : stride * a + k, stride * b : stride * b + k] for a, b in taps)

@@ -353,26 +353,34 @@ class Checkpoint:
     version: int = _VERSION
 
 
+def _check_field(what: str, text, bad) -> None:
+    """DataError unless `text` is ASCII with no character `bad` accepts, so
+    that `load_checkpoint` reads its header line back as written."""
+    if not str(text).isascii() or any(map(bad, str(text))):
+        raise DataError(f"{what} {text!r} cannot be read back: not ASCII, or a separator or line break in it")
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Text directory plus little-endian IEEE-754 payload; byte-stable.
 
     The bytes go to a temporary file in `path`'s directory that then
     replaces `path`, so a write that fails midway leaves the previous
-    checkpoint intact and no temporary file behind.
+    checkpoint intact and no temporary file behind. A header field that
+    would read back as something else raises DataError before any write.
     """
     header = io.StringIO()
     header.write(f"{_MAGIC} {ckpt.version}\n")
     for key, value in ckpt.config.items():
-        if any(c.isspace() for c in key):
-            raise DataError(f"config key {key!r} must not contain whitespace")
+        _check_field("config key", key, lambda c: c.isspace() or c == "=")
+        _check_field(f"config {key} value", value, "\n".__eq__)
         header.write(f"config {key}={value}\n")
     if ckpt.rng_state is not None:
+        _check_field("rng token", ckpt.rng_state, "\n".__eq__)
         header.write(f"rng {ckpt.rng_state}\n")
     offset = 0
     payload = []
     for name, arr in ckpt.tensors.items():
-        if any(c.isspace() for c in name):
-            raise DataError(f"tensor name {name!r} must not contain whitespace")
+        _check_field("tensor name", name, str.isspace)
         tag = _DTYPE_TAGS.get(arr.dtype)
         if tag is None:
             raise DataError(f"tensor {name}: unsupported dtype {arr.dtype}")

@@ -17,7 +17,9 @@ or Gram matrices.
 
 The 1x1 and FC layers differ only in their evidence update, one taped
 step each that serves every round. `_iterate` is the one detached routing
-loop and `_route` the one coupling schedule.
+loop and `_route` the one coupling schedule. The taped squash is v times
+`_routing_scale_op` (the Gram step's |g|/(1+|g|^2)) of its squared norm,
+and the taped softmax `softmax_lastdim` runs `coupling_softmax`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .tensor import Tensor, einsum2, mul, record, relu, softmax_lastdim, tsum
+from .tensor import Tensor, einsum2, mul, record, relu, square, tsum
 
 __all__ = [
     "Conv1x1CapsuleParams",
@@ -39,6 +41,7 @@ __all__ = [
     "frozen_routing",
     "route_conv1x1_naive",
     "route_fc",
+    "softmax_lastdim",
     "squash",
 ]
 
@@ -115,27 +118,13 @@ def squash(v: Union[np.ndarray, Tensor, list], axis: int = -1):
     """Norm-bounding nonlinearity: v * |v| / (1 + |v|^2).
 
     Keeps the direction, maps the norm to |v|^2 / (1 + |v|^2) < 1, and
-    sends the zero vector to zero. Accepts plain arrays or taped tensors.
+    sends the zero vector to zero. Accepts plain arrays or taped tensors;
+    on a tensor it is v times `_routing_scale_op` of the taped squared
+    norm, so the scale and its guarded derivative are written once.
     """
     if isinstance(v, Tensor):
-        return _squash_tensor(v, axis)
+        return mul(v, _routing_scale_op(tsum(square(v), axis=axis, keepdims=True)))
     return _squash_np(np.asarray(v, dtype=np.float64), axis)
-
-
-def _squash_tensor(v: Tensor, axis: int) -> Tensor:
-    x = v.data
-    n2 = np.sum(x * x, axis=axis, keepdims=True)
-    scale = _agreement_scale(n2)
-    out = Tensor(x * scale)
-
-    def vjp(g):
-        # d squash / dx = scale * I + ((1 - n2) / ((1 + n2)^2 * n)) * x x^T
-        dot = np.sum(g * x, axis=axis, keepdims=True)
-        denom = (1.0 + n2) ** 2 * np.sqrt(n2)
-        coef = np.divide(1.0 - n2, denom, out=np.zeros_like(n2), where=n2 > 1e-24)
-        return (g * scale + coef * dot * x,)
-
-    return record(out, (v,), vjp)
 
 
 def coupling_softmax(b: np.ndarray) -> np.ndarray:
@@ -147,6 +136,12 @@ def coupling_softmax(b: np.ndarray) -> np.ndarray:
     e = np.subtract(b, b.max(axis=-1, keepdims=True), dtype=np.result_type(b.dtype, np.float32))
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
+
+
+def softmax_lastdim(a: Tensor) -> Tensor:
+    """Taped `coupling_softmax` over the last axis."""
+    y = coupling_softmax(a.data)
+    return record(Tensor(y), (a,), lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
 def _check_norms(n2: np.ndarray, G: np.ndarray, W: np.ndarray) -> None:

@@ -403,19 +403,6 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), vjp)
 
 
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Numerically stabilized softmax over the last axis."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def vjp(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return record(out, (a,), vjp)
-
-
 def vec_norm(a: Tensor, axis: int = -1) -> Tensor:
     """Euclidean norm along `axis`; subgradient 0 for zero vectors."""
     n = np.sqrt(np.sum(a.data * a.data, axis=axis))

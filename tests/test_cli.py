@@ -110,6 +110,8 @@ class TestRunConfig:
         ["synth", "--out-dir", "unused", "--n-train", "-3"],
         ["synth", "--out-dir", "unused", "--n-test", "-1"],
         ["train", "--manifest", "m.csv", "--images-root", ".", "--out", "x.ckpt", "--epochs", "-1"],
+        ["train", "--manifest", "m.csv", "--images-root", ".", "--out", "x.ckpt", "--seed", "-1"],
+        ["synth", "--out-dir", "unused", "--seed", "-1"],
     ],
 )
 def test_out_of_range_integer_flag_exit_1(argv, capsys, tmp_path, monkeypatch):
@@ -117,6 +119,21 @@ def test_out_of_range_integer_flag_exit_1(argv, capsys, tmp_path, monkeypatch):
     assert main(argv) == 1
     assert f"argument {argv[-2]}: invalid int in" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # rejected before anything is written
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-3", "1.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--manifest", "m.csv", "--images-root", ".", "--ckpt", "x.ckpt", "--report", "r.csv"],
+        ["gradcam", "--ckpt", "x.ckpt", "--image", "i.pgm", "--class", "0", "--out", "h.pgm"],
+    ],
+)
+def test_out_of_range_tau_exit_1(argv, tau, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--tau", tau]) == 1
+    assert "argument --tau: invalid float in [0.0, 1.0]" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestSynth:

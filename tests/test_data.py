@@ -346,6 +346,20 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize(
+        "ckpt",
+        [
+            pytest.param(Checkpoint(config={"a=b": "c"}), id="key-with-equals"),  # would load as a -> b=c
+            pytest.param(Checkpoint(config={"v": "1\ntensor x f32 1 0 4"}), id="value-line-break"),
+            pytest.param(Checkpoint(rng_state="{}\nconfig k=1"), id="rng-line-break"),
+            pytest.param(Checkpoint(config={"v": "\u00e9"}), id="non-ascii"),
+        ],
+    )
+    def test_field_that_reads_back_differently_rejected_on_save(self, tmp_path, ckpt):
+        with pytest.raises(DataError, match="cannot be read back"):
+            save_checkpoint(tmp_path / "c.ckpt", ckpt)
+        assert not any(tmp_path.iterdir())
+
     def test_value_count_reported_without_wrap(self, tmp_path):
         p = tmp_path / "c.ckpt"
         save_checkpoint(p, Checkpoint(tensors={"a": np.arange(4.0)}))

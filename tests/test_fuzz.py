@@ -1,5 +1,6 @@
 """Property tests of the file parsers: hostile input either parses or
-raises `DataError`, and never raises anything else.
+raises `DataError`, and never raises anything else; a checkpoint either
+round-trips bitwise or is refused with `DataError` when saved.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so every run draws the same cases.
@@ -7,14 +8,18 @@ database, so every run draws the same cases.
 
 import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from capsroute.cli import CONFIG_REGISTRY, RunConfig  # noqa: E402
-from capsroute.data import DataError, load_checkpoint, load_manifest, load_pgm  # noqa: E402
+from capsroute.data import (  # noqa: E402
+    Checkpoint, DataError, load_checkpoint, load_manifest, load_pgm, save_checkpoint,
+)
 
 # small values make consistent directories (and so real loads) common;
 # the edges and large values probe int64 overflow and numpy's shape limits
@@ -138,3 +143,35 @@ def test_config_bytes_parse_or_raise_data_error(tmp_path, raw):
     except DataError:
         return
     assert set(cfg.values) == set(CONFIG_REGISTRY)
+
+
+# a header field is mostly plain text, else text holding the format's
+# separators (space, "=", line breaks) or non-ASCII; arrays include 0-d
+# and empty ones, and NaN, inf and -0.0 values
+_PLAIN = st.text("ab._-:{}0", max_size=6)
+_HOSTILE = st.text(st.one_of(st.sampled_from("a= \t\r\n\x0b"), st.characters(max_codepoint=0x3000)), max_size=6)
+_FIELD = st.one_of(_PLAIN, _PLAIN, _PLAIN, _HOSTILE)
+_ARRAY = st.tuples(
+    st.sampled_from([np.float32, np.float64]), hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+).flatmap(lambda t: hnp.arrays(*t))
+
+
+@_FUZZ
+@given(
+    config=st.dictionaries(_FIELD, _FIELD, max_size=3),
+    rng=st.one_of(st.none(), _FIELD),
+    tensors=st.dictionaries(_FIELD, _ARRAY, max_size=3),
+)
+def test_checkpoint_round_trips_bitwise_or_save_raises_data_error(tmp_path, config, rng, tensors):
+    p = tmp_path / "c.ckpt"
+    p.unlink(missing_ok=True)
+    try:
+        save_checkpoint(p, Checkpoint(config=config, tensors=tensors, rng_state=rng))
+    except DataError:
+        assert not any(tmp_path.iterdir())  # refused before anything is written
+        return
+    back = load_checkpoint(p)
+    assert back.config == config and back.rng_state == rng and list(back.tensors) == list(tensors)
+    for name, arr in tensors.items():
+        got = back.tensors[name]
+        assert got.dtype == arr.dtype and got.shape == arr.shape and got.tobytes() == arr.tobytes()

@@ -475,17 +475,32 @@ class TestConvMaxpool:
         (11, 13, 3, 1, 3, 2),
     ]
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("H,W,k,stride,size,pool_stride", GEOMETRIES)
-    def test_matches_conv_then_pool(self, H, W, k, stride, size, pool_stride, dtype):
+    @staticmethod
+    def check_against_conv_then_pool(H, W, k, stride, size, pool_stride, dtype, ties):
         rng = np.random.default_rng(H * W + k)
-        x = rng.standard_normal((4, 3, H, W)).astype(dtype)
-        ker = rng.standard_normal((8, 3, k, k)).astype(dtype)
+        x = rng.standard_normal((4, 3, H, W))
+        ker = rng.standard_normal((8, 3, k, k))
+        if ties:
+            x, ker = np.round(2.0 * x) / 2.0, np.round(2.0 * ker) / 2.0
+        x, ker = x.astype(dtype), ker.astype(dtype)
         want_out, g, want_gk, bound = conv_maxpool_reference(x, ker, stride, size, pool_stride, rng)
         out, gk = conv_maxpool_case(x, ker, stride, size, pool_stride, g)
         assert out.dtype == dtype and gk.dtype == dtype and gk.flags.c_contiguous
         np.testing.assert_array_equal(out, want_out)
         assert np.all(np.abs(gk - want_gk) <= bound)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("H,W,k,stride,size,pool_stride", GEOMETRIES)
+    def test_matches_conv_then_pool(self, H, W, k, stride, size, pool_stride, dtype):
+        self.check_against_conv_then_pool(H, W, k, stride, size, pool_stride, dtype, ties=False)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("H,W,k,stride,size,pool_stride", GEOMETRIES)
+    def test_tie_heavy_matches_conv_then_pool(self, H, W, k, stride, size, pool_stride, dtype):
+        # input and kernel rounded to 0.5, as in TestStem: 1-4% of the pool
+        # windows hold equal maximal cells, so the first-max rule decides
+        # which cell gets the window's gradient
+        self.check_against_conv_then_pool(H, W, k, stride, size, pool_stride, dtype, ties=True)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_small_gemms_round_within_bound(self, dtype):

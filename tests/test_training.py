@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from capsroute.model import NetworkConfig, build_network
-from capsroute.tensor import Tensor
+from capsroute.model import NetworkConfig, baseline_variant, build_network
+from capsroute.tensor import Tape, Tensor
 from capsroute.training import (
     AdamState,
     AugmentConfig,
@@ -273,3 +273,17 @@ class TestTrainEpoch:
         sched = CurriculumSchedule(n_positive=10, n_negative=30, switch_epoch=2)
         m = train_epoch(net, data, LossConfig(), sched, AdamState(), 5, 8, np.random.default_rng(15))
         assert (m.lambda_plus, m.lambda_minus) == (0.75, 0.25)
+
+
+@pytest.mark.parametrize("make,records", [(build_network, 124), (baseline_variant, 68)])
+def test_desk_step_tape_record_count_pinned(make, records):
+    # one desk-recipe forward plus margin loss, as a train step tapes it.
+    # A change to the count (telemetry, a composed op) must update this
+    # pin on purpose: records cost tape time on every step.
+    cfg = NetworkConfig(input_size=64, n_dense_blocks=1, layers_per_block=4)
+    net = make(cfg, 0)
+    x = np.random.default_rng(0).standard_normal((2, 1, 64, 64))
+    with Tape() as tape:
+        scores, _ = net.forward(Tensor(x, dtype=cfg.dtype), mode="train")
+        margin_loss(scores, np.eye(4)[[0, 2]], LossConfig())
+    assert len(tape.records) == records
