@@ -196,6 +196,11 @@ def _op_checks():
     yield "conv_maxpool/kernel", lambda: finite_diff_check(
         lambda t: wsq(conv_maxpool(Tensor(stem_img), t, 2, 3, 4)), Tensor(rng.standard_normal((4, 3, 7, 7)))
     )
+    # 4 -> 1 maps over 32x32, which `conv2d` runs on its tap path
+    tap_img = rng.standard_normal((1, 4, 32, 32))
+    yield "conv2d/taps", lambda: finite_diff_check(
+        lambda t: wsq(conv2d(Tensor(tap_img), t, padding="same")), Tensor(rng.standard_normal((1, 4, 3, 3)))
+    )
 
 
 def gradient_checks():

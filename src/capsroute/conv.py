@@ -1,9 +1,10 @@
 """Convolution, pooling, and batch normalization on BCHW tensors.
 
-`conv2d` has two paths, and `_fft_pays` picks one from the shapes alone.
-The general path runs im2col matrix products over a channel-last patch
-matrix (rows batch x output position, columns window cell x channel); the
-forward and the kernel gradient share it. Its input gradient is a
+`conv2d` has three paths, and `_conv_path` picks one from the shapes
+alone. The general path, which every strided convolution takes (and the
+stem's 1x1), runs im2col matrix products over a channel-last patch
+matrix (rows batch x output position, columns window cell x channel);
+the forward and the kernel gradient share it. Its input gradient is a
 transposed convolution run as one GEMM: the output gradient, with
 stride - 1 zeros inserted between its rows and columns and padded, is
 correlated with the flipped kernel. Stride-1 convolutions whose im2col
@@ -12,6 +13,12 @@ training and predict batches) run as a correlation in the frequency
 domain instead (`_conv2d_fft`, after Mathieu, Henaff & LeCun, arXiv
 1312.5851): rfft2 of the input, one batched complex matmul over channels
 per frequency, irfft2 and a crop; both VJPs stay in the frequency domain.
+Stride-1 convolutions with many more input than output channels over
+large enough maps (in the network: the dense blocks' 3x3s, except at
+desk maps below batch 16) run on the output side (`_conv2d_taps`, kn2row):
+one GEMM per image on the input's own layout gives every kernel tap's
+output plane, and the taps are added shifted; its backward gathers the
+output gradient once per tap and runs two GEMMs on that.
 "same" padding is symmetric zero padding with the extra cell on the high
 side when the deficit is odd; output size is ceil(in / stride). Pooling
 with "same" padding excludes the padded cells (max ignores them, average
@@ -41,8 +48,12 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 from .tensor import AutodiffError, ShapeError, Tensor, record
 
 # im2col flops over FFT-path flops above which `conv2d` takes the FFT
-# path; measured, see `_fft_pays`
+# path; input over output channels, and output cells per map and per
+# batch, from which it takes the tap path; measured, see `_conv_path`
 _FFT_CROSSOVER = 3.0
+_TAPS_CHANNEL_RATIO = 4
+_TAPS_MIN_MAP = 64
+_TAPS_MIN_CELLS = 1024
 
 
 def _out_size(n: int, k: int, stride: int, padding: str) -> tuple[int, int, int]:
@@ -79,13 +90,15 @@ def _tap(a: np.ndarray, i: int, j: int, stride: int, oH: int, oW: int) -> np.nda
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
     """2D convolution (cross-correlation): kernel is (outC, inC, kH, kW).
 
-    Runs as an FFT correlation (`_conv2d_fft`) when `_fft_pays` says so
-    for the shapes, else as im2col GEMMs. The two agree to rounding, but
-    the FFT path rounds and fails globally: in f32 its error is relative
-    to the largest output of the map (≈3e-7 of max|out| at the network's
-    head shapes), not to each output, and a NaN or inf anywhere in an
-    input image makes every output of that image non-finite, where im2col
-    keeps it to the windows that cover the cell.
+    Runs as an FFT correlation (`_conv2d_fft`), as output-side tap GEMMs
+    (`_conv2d_taps`) or as im2col GEMMs, as `_conv_path` says for the
+    shapes. The three agree to rounding. The tap and im2col paths round
+    each output on its own and keep a NaN or inf input to the windows
+    that cover its cell. The FFT path rounds and fails globally: in f32
+    its error is relative to the largest output of the map (≈3e-7 of
+    max|out| at the network's head shapes), not to each output, and a NaN
+    or inf anywhere in an input image makes every output of that image
+    non-finite.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4D input and kernel, got {x.shape} and {kernel.shape}")
@@ -102,8 +115,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -
     oH, pt, pb = _out_size(H, k, stride, padding)
     oW, pl, pr = _out_size(W, k, stride, padding)
     grid = (next_fast_len(H + max(pt, pb), real=True), next_fast_len(W + max(pl, pr), real=True))
-    if _fft_pays(B, C, O, k, (oH, oW), grid, stride):
+    path = _conv_path(B, C, O, k, (oH, oW), grid, stride)
+    if path == "fft":
         return _conv2d_fft(x, kernel, (oH, oW), (pt, pl), grid)
+    if path == "taps":
+        return _conv2d_taps(x, kernel, (oH, oW), (pt, pl))
 
     xp = np.zeros((B, H + pt + pb, W + pl + pr, C), dtype=x.data.dtype)
     xp[:, pt : pt + H, pl : pl + W] = x.data.transpose(0, 2, 3, 1)
@@ -133,14 +149,23 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -
     return record(out, (x, kernel), vjp)
 
 
-def _fft_pays(B: int, C: int, O: int, k: int, out_hw: tuple, grid: tuple, stride: int) -> bool:
-    """Whether `conv2d` runs these shapes as an FFT correlation: stride 1,
-    and the flops of a forward and backward on im2col (three GEMMs) at
-    least `_FFT_CROSSOVER` times those on the FFT path (2B(C+O) real FFTs
-    at 2.5 N log2 N, three complex matmuls over the half spectrum, and
-    the two kernel DFTs).
+def _conv_path(B: int, C: int, O: int, k: int, out_hw: tuple, grid: tuple, stride: int) -> str:
+    """The path `conv2d` takes for these shapes: "fft", "taps" or "im2col".
 
-    The constant 3 is where the two paths cost the same in a sweep of 160
+    Strided convolutions run on im2col. A stride-1 convolution runs as an
+    FFT correlation when the flops of a forward and backward on im2col
+    (three GEMMs) are at least `_FFT_CROSSOVER` times those on the FFT
+    path (2B(C+O) real FFTs at 2.5 N log2 N, three complex matmuls over
+    the half spectrum, and the two kernel DFTs). Otherwise a stride-1
+    convolution with k > 1 runs on the tap path when C is at least
+    `_TAPS_CHANNEL_RATIO` times O, so that its tap planes (O*k*k*H*W per
+    image) are a fraction of the im2col patch (C*k*k*oH*oW), and each map
+    has at least `_TAPS_MIN_MAP` output cells and the batch at least
+    `_TAPS_MIN_CELLS`: below those, the k*k numpy calls per pass over
+    short rows cost more than the patch copy they save. Everything else
+    runs on im2col.
+
+    The constant 3 is where im2col and FFT cost the same in a sweep of 160
     random shapes (B 1-64, C and O 8-64, H 4-32, k 3-9, "same" and
     "valid"): it lost the least time to wrong picks. Timed ("same", f32,
     one BLAS thread, 2-vCPU Xeon VM, best of 21 calls, ms forward / backward):
@@ -155,14 +180,87 @@ def _fft_pays(B: int, C: int, O: int, k: int, out_hw: tuple, grid: tuple, stride
         1, 48->32, 32, 9   paper head, Grad-CAM   3.7     5.0 / 7.8      3.0 / 6.6
         16, 32->8, 32, 3   paper dense 3x3        2.0     7.0 / 5.7      4.9 / 8.9
         16, 32->8, 8, 3    desk dense 3x3         2.3     0.38 / 0.43    0.74 / 0.84
+
+    The tap constants come from a sweep of 311 shapes (B 1-16; C->O
+    16->8, 32->8, 64->8, 64->16, 32->16, 24->16, 48->32; H 4-32; k 3, 5
+    and 9; "same"; best of 7 forward plus backward): the rule picks 49 of
+    them, and the tap path was faster at 47 and within 4% at the other
+    two. It lost at 145 of the 181 shapes with C < 4*O (the 9x9 head's
+    48->32 among them) and at 83 of the 84 with 4x4 maps. Timed as
+    above, ms forward / backward:
+
+        B, C->O, H, k    use                  im2col          taps
+        16, 32->8, 32, 3   paper dense, train   5.89 / 6.07     3.03 / 4.05   taps
+        1, 32->8, 32, 3    paper dense, Grad-CAM 0.36 / 0.32    0.22 / 0.21   taps
+        64, 32->8, 8, 3    desk dense, predict  1.40 / 1.47     1.06 / 1.07   taps
+        16, 32->8, 8, 3    desk dense, train    0.35 / 0.34     0.31 / 0.25   taps
+        8, 32->8, 8, 3     desk dense, batch 8  0.17 / 0.18     0.19 / 0.14   im2col
+        1, 32->8, 8, 3     desk dense, Grad-CAM 0.05 / 0.05     0.09 / 0.04   im2col
+        64, 32->8, 4, 3    4x4 maps             0.34 / 0.35     0.46 / 0.39   im2col
+        16, 32->16, 16, 3  C = 2*O              1.31 / 1.74     1.47 / 1.65   im2col
+        1, 48->32, 8, 9    desk head, Grad-CAM  0.53 / 0.73     1.20 / 0.90   im2col
+        2, 48->32, 8, 9    desk head, batch 2   0.85 / 1.24     1.24 / 1.10   im2col
     """
     if stride != 1:
-        return False
+        return "im2col"
     (oH, oW), (nH, nW) = out_hw, grid
     cells = nH * nW
     im2col = 6 * B * C * O * k * k * oH * oW
     fft = 5 * B * (C + O) * cells * math.log2(cells) + 12 * B * C * O * cells + 8 * C * O * k * (k + nH) * nW
-    return im2col >= _FFT_CROSSOVER * fft
+    if im2col >= _FFT_CROSSOVER * fft:
+        return "fft"
+    if k > 1 and _TAPS_CHANNEL_RATIO * O <= C and oH * oW >= _TAPS_MIN_MAP and B * oH * oW >= _TAPS_MIN_CELLS:
+        return "taps"
+    return "im2col"
+
+
+def _shifts(n_out: int, n: int, lo: int, k: int) -> list:
+    """(i, output slice, input slice) for each kernel offset i along one
+    axis that pairs any cells at stride 1: output cell o reads input cell
+    o + i - lo, in range only."""
+    spans = ((i, max(0, lo - i), min(n_out, n + lo - i)) for i in range(k))
+    return [(i, slice(a, b), slice(a + i - lo, b + i - lo)) for i, a, b in spans if a < b]
+
+
+def _conv2d_taps(x: Tensor, kernel: Tensor, out_hw: tuple, pad_lo: tuple) -> Tensor:
+    """Stride-1 `conv2d` on the output side (kn2row, Anderson et al.,
+    arXiv 1709.03395), with no patch matrix.
+
+    The forward is one (k*k*O, C) @ (C, H*W) GEMM per image on x's own
+    channel-first layout: a full (O, H, W) plane per kernel tap (i, j),
+    each added, over its in-range part, into the output shifted by
+    (i - pt, j - pl). The backward gathers the output gradient into
+    Gp (B, O*k*k, H*W), row (o, i, j) holding g shifted back onto the
+    input cells tap (i, j) reads, zero elsewhere; then gx[b] is
+    kernel (C, O*k*k) @ Gp[b], already channel-first, and the kernel
+    gradient is the sum over b of Gp[b] @ x[b]^T. Only x, which the tape
+    holds anyway, is kept for the backward.
+    """
+    B, C, H, W = x.shape
+    O, _, k, _ = kernel.shape
+    (oH, oW), (pt, pl) = out_hw, pad_lo
+    taps = [(i, j, ro, ri, co, ci) for i, ro, ri in _shifts(oH, H, pt, k) for j, co, ci in _shifts(oW, W, pl, k)]
+    xv = x.data.reshape(B, C, H * W)
+    planes = (kernel.data.transpose(2, 3, 0, 1).reshape(k * k * O, C) @ xv).reshape(B, k, k, O, H, W)
+    out = np.zeros((B, O, oH, oW), dtype=planes.dtype)
+    for i, j, ro, ri, co, ci in taps:
+        out[:, :, ro, co] += planes[:, i, j, :, ri, ci]
+    out = Tensor(out)
+
+    def vjp(g):
+        gp = np.zeros((B, O, k, k, H, W), dtype=g.dtype)
+        for i, j, ro, ri, co, ci in taps:
+            gp[:, :, i, j, ri, ci] = g[:, :, ro, co]
+        gp = gp.reshape(B, O * k * k, H * W)
+        gx = gk = None
+        if x.requires_grad:
+            gx = (kernel.data.transpose(1, 0, 2, 3).reshape(C, O * k * k) @ gp).reshape(B, C, H, W)
+        if kernel.requires_grad:
+            gk = (gp @ xv.transpose(0, 2, 1)).sum(axis=0).reshape(O, k, k, C)
+            gk = np.ascontiguousarray(gk.transpose(0, 3, 1, 2))
+        return (gx, gk)
+
+    return record(out, (x, kernel), vjp)
 
 
 def _tap_dft(n: int, k: int, lo: int, dtype) -> np.ndarray:

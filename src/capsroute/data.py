@@ -6,7 +6,7 @@ File formats:
   manifest  CSV with header `path,labels,boxes`; labels are `;`-separated
             class indices (may be empty), boxes `;`-separated
             `class:x:y:w:h` tuples in source-image pixels, with
-            x, y >= 0 and w, h >= 1.
+            w, h >= 1; every label and box field is plain ASCII digits.
   image     binary PGM (P5), maxval 255.
   checkpoint text header (magic CAPS, version, config echo, tensor
             directory), then raw little-endian IEEE-754 buffers.
@@ -60,10 +60,10 @@ class ManifestEntry:
 def _parse_labels(text: str, lineno: int) -> tuple[int, ...]:
     if not text:
         return ()
-    try:
-        return tuple(int(tok) for tok in text.split(";"))
-    except ValueError:
-        raise DataError(f"line {lineno}: bad label list {text!r}")
+    labels = tuple(_natural(tok) for tok in text.split(";"))
+    if None in labels:
+        raise DataError(f"line {lineno}: bad label list {text!r}, expected unsigned integers of ASCII digits")
+    return labels
 
 
 def _parse_boxes(text: str, lineno: int) -> tuple:
@@ -74,19 +74,24 @@ def _parse_boxes(text: str, lineno: int) -> tuple:
         parts = tok.split(":")
         if len(parts) != 5:
             raise DataError(f"line {lineno}: bad box {tok!r}, expected class:x:y:w:h")
-        try:
-            box = tuple(int(p) for p in parts)
-        except ValueError:
-            raise DataError(f"line {lineno}: bad box {tok!r}, expected integers")
+        box = tuple(_natural(p) for p in parts)
+        if None in box:
+            raise DataError(f"line {lineno}: bad box {tok!r}, expected unsigned integers of ASCII digits")
         if not _box_is_real(box):
-            raise DataError(f"line {lineno}: bad box {tok!r}, needs x, y >= 0 and w, h >= 1")
+            raise DataError(f"line {lineno}: bad box {tok!r}, needs w, h >= 1")
         boxes.append(box)
     return tuple(boxes)
 
 
+def _is_index(v) -> bool:
+    """Whether `str(v)` reads back as v: an int or numpy integer in
+    [0, 2**63), not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_)) and 0 <= v < 2**63
+
+
 def _box_is_real(box) -> bool:
-    _, x, y, w, h = box
-    return x >= 0 and y >= 0 and w >= 1 and h >= 1
+    """Whether a box of non-negative integers covers a pixel: w, h >= 1."""
+    return box[3] >= 1 and box[4] >= 1
 
 
 def load_manifest(path) -> list[ManifestEntry]:
@@ -126,9 +131,15 @@ def write_manifest(entries, path) -> None:
     for e in entries:
         if "," in e.path or e.path.splitlines() != [e.path] or e.path != e.path.strip():
             raise DataError(f"image path {e.path!r} cannot be read back: empty, or a comma, line break or edge space")
-        bad = [box for box in e.boxes if not _box_is_real(box)]
+        # the messages leave the values out: str() of an int past 4300 digits raises
+        bad = [n for n, i in enumerate(e.labels) if not _is_index(i)]
         if bad:
-            raise DataError(f"{e.path}: box {bad[0]} cannot be read back: needs x, y >= 0 and w, h >= 1")
+            raise DataError(f"{e.path}: label {bad[0]} cannot be read back: labels must be integers in [0, 2**63)")
+        bad = [n for n, box in enumerate(e.boxes) if len(box) != 5 or not all(map(_is_index, box)) or not _box_is_real(box)]
+        if bad:
+            raise DataError(
+                f"{e.path}: box {bad[0]} cannot be read back: needs five integers below 2**63, with x, y >= 0 and w, h >= 1"
+            )
         labels = ";".join(str(i) for i in e.labels)
         boxes = ";".join(":".join(str(v) for v in box) for box in e.boxes)
         lines.append(f"{e.path},{labels},{boxes}")
@@ -185,8 +196,10 @@ def load_pgm(path) -> np.ndarray:
 def write_pgm(image: np.ndarray, path) -> None:
     """Quantize [0, 1] grayscale to 8 bits and write binary P5."""
     img = np.asarray(image)
-    if img.ndim != 2:
-        raise DataError(f"expected a 2D image, got shape {img.shape}")
+    if img.ndim != 2 or img.size == 0 or img.dtype.kind not in "biuf":
+        raise DataError(f"expected a non-empty 2D real image, got shape {img.shape} of {img.dtype}")
+    if not np.isfinite(img).all():
+        raise DataError("image has NaN or infinite pixels, which 8 bits cannot hold")
     q = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = q.shape
     with open(path, "wb") as f:

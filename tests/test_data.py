@@ -97,6 +97,47 @@ class TestManifest:
         with pytest.warns(UserWarning, match="duplicate"):
             load_manifest(p)
 
+    # fields Python's int accepts but that are not plain ASCII digits: an
+    # underscore (1_0 would load as 10), a space before or after, a sign,
+    # and non-ASCII digits; each sits inside its column, which is stripped
+    HOSTILE_INTEGERS = ["1_0", " 2", "2 ", "+3", "-1", "\u0663", "\uff11"]
+
+    @pytest.mark.parametrize("field", HOSTILE_INTEGERS)
+    def test_label_not_plain_digits_rejected(self, tmp_path, field):
+        p = tmp_path / "m.csv"
+        p.write_text(f"path,labels,boxes\na.pgm,0;{field};1,\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: bad label list"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("field", HOSTILE_INTEGERS)
+    @pytest.mark.parametrize("slot", range(5))
+    def test_box_field_not_plain_digits_rejected(self, tmp_path, field, slot):
+        box = ["0", "1", "0", "1", "1"]
+        box[slot] = field
+        p = tmp_path / "m.csv"
+        p.write_text(f"path,labels,boxes\na.pgm,0,0:0:0:1:1;{':'.join(box)};0:0:0:1:1\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: bad box"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("labels", [(True,), (False, 0), (-1,), (1.0,), ("2",), (2**63,), (10**5000,)])
+    def test_label_that_reads_back_differently_rejected_on_write(self, tmp_path, labels):
+        out = tmp_path / "m.csv"
+        with pytest.raises(DataError, match="label 0"):
+            write_manifest([ManifestEntry("a.pgm", labels)], out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("box", [(True, 0, 0, 1, 1), (0, 0.0, 0, 1, 1), (0, 0, 0, 1), (-1, 0, 0, 1, 1)])
+    def test_box_that_reads_back_differently_rejected_on_write(self, tmp_path, box):
+        out = tmp_path / "m.csv"
+        with pytest.raises(DataError, match="box"):
+            write_manifest([ManifestEntry("a.pgm", (0,), (box,))], out)
+        assert not out.exists()
+
+    def test_numpy_integers_round_trip(self, tmp_path):
+        p = tmp_path / "m.csv"
+        write_manifest([ManifestEntry("a.pgm", (np.int64(3),), (tuple(np.arange(1, 6)),))], p)
+        assert load_manifest(p) == [ManifestEntry("a.pgm", (3,), ((1, 2, 3, 4, 5),))]
+
 
 class TestPgm:
     def test_all_black(self, tmp_path):
@@ -151,6 +192,23 @@ class TestPgm:
         p.write_bytes(header + bytes(8))
         with pytest.raises(DataError, match="width and height"):
             load_pgm(p)
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            pytest.param(np.zeros((0, 5)), id="no-rows"),
+            pytest.param(np.zeros((5, 0)), id="no-columns"),
+            pytest.param(np.array([[0.5, np.nan]]), id="nan"),
+            pytest.param(np.array([[np.inf, 0.5]]), id="inf"),
+            pytest.param(np.array([[-np.inf]]), id="minus-inf"),
+            pytest.param(np.array([["a"]]), id="text"),
+        ],
+    )
+    def test_image_it_cannot_write_faithfully_rejected(self, tmp_path, image):
+        out = tmp_path / "x.pgm"
+        with pytest.raises(DataError, match="image"):
+            write_pgm(image, out)
+        assert not out.exists()
 
     def test_truncated_pixels_rejected(self, tmp_path):
         p = tmp_path / "bad.pgm"

@@ -1,12 +1,14 @@
 """Property tests of the file parsers: hostile input either parses or
-raises `DataError`, and never raises anything else; a checkpoint either
-round-trips bitwise or is refused with `DataError` when saved.
+raises `DataError`, and never raises anything else; a checkpoint, a
+manifest or a PGM image either round-trips or is refused with `DataError`
+before anything is written.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so every run draws the same cases.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from capsroute.cli import CONFIG_REGISTRY, RunConfig  # noqa: E402
 from capsroute.data import (  # noqa: E402
-    Checkpoint, DataError, load_checkpoint, load_manifest, load_pgm, save_checkpoint,
+    Checkpoint, DataError, ManifestEntry, load_checkpoint, load_manifest, load_pgm, save_checkpoint, write_manifest,
+    write_pgm,
 )
 
 # small values make consistent directories (and so real loads) common;
@@ -175,3 +178,67 @@ def test_checkpoint_round_trips_bitwise_or_save_raises_data_error(tmp_path, conf
     for name, arr in tensors.items():
         got = back.tensors[name]
         assert got.dtype == arr.dtype and got.shape == arr.shape and got.tobytes() == arr.tobytes()
+
+
+# manifest fields: mostly valid paths and indices, else paths with
+# separators or line breaks and values whose text would read back as
+# something else (bool, float, negative, numpy or huge integers)
+_HOSTILE_INDEX = st.sampled_from(
+    [True, False, -1, 1.0, np.int64(4), np.uint8(7), np.bool_(True), 2**63 - 1, 2**63, 10**5000]
+)
+_INDEX, _SIDE = (
+    st.tuples(st.integers(0, 15), st.integers(lo, 300), _HOSTILE_INDEX).map(lambda t: t[2] if t[0] == 15 else t[1])
+    for lo in (0, 1)
+)
+_ENTRY = st.builds(
+    ManifestEntry,
+    path=st.one_of(st.text("ab._-:{}0", min_size=1, max_size=6), _FIELD),
+    labels=st.lists(_INDEX, max_size=3).map(tuple),
+    boxes=st.lists(
+        st.one_of(st.tuples(_INDEX, _INDEX, _INDEX, _SIDE, _SIDE), st.lists(_INDEX, min_size=4, max_size=6).map(tuple)),
+        max_size=2,
+    ).map(tuple),
+)
+
+
+@_FUZZ
+@given(entries=st.lists(_ENTRY, max_size=3))
+def test_manifest_round_trips_or_write_raises_data_error(tmp_path, entries):
+    p = tmp_path / "m.csv"
+    p.unlink(missing_ok=True)
+    try:
+        write_manifest(entries, p)
+    except DataError:
+        assert not p.exists()  # refused before anything is written
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # repeated paths warn
+        back = load_manifest(p)
+    assert back == entries
+    assert all(type(v) is int for e in back for v in (*e.labels, *(c for box in e.boxes for c in box)))
+
+
+# images: mostly 2D and quantized to 8 bits, else of any values (NaN and
+# infinities included), dimension count or emptiness
+_QUANTIZED = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4)).map(lambda q: q / 255.0)
+_ANY_IMAGE = st.sampled_from([np.float32, np.float64]).flatmap(
+    lambda dt: hnp.arrays(dt, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4), elements=st.floats(width=32))
+)
+
+
+@_FUZZ
+@given(image=st.one_of(_QUANTIZED, _ANY_IMAGE))
+def test_pgm_round_trips_or_write_raises_data_error(tmp_path, image):
+    p = tmp_path / "x.pgm"
+    p.unlink(missing_ok=True)
+    try:
+        write_pgm(image, p)
+    except DataError:
+        assert not p.exists()  # refused before anything is written
+        return
+    back = load_pgm(p)
+    assert back.shape == image.shape
+    # 8 bits hold [0, 1] to half a step, and a quantized image exactly
+    assert np.abs(back - np.clip(image, 0.0, 1.0)).max() <= 0.5 / 255.0 + 1e-7
+    if image.dtype == np.float64 and np.array_equal(image, np.rint(image * 255.0) / 255.0) and image.max() <= 1.0:
+        assert back.tobytes() == image.tobytes()

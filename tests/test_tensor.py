@@ -154,8 +154,10 @@ class TestConv2d:
 
 
 # ---------------------------------------------------------------------------
-# conv2d's two paths: im2col and the FFT correlation
+# conv2d's three paths: im2col, the FFT correlation and the output-side taps
 # ---------------------------------------------------------------------------
+
+PATHS = ("im2col", "fft", "taps")
 
 # (B, C, O, H, W, k, padding): the 9x9 head (48 -> 32 maps) as the desk
 # (64 px) and paper (256 px) networks run it in training, predict and Grad-CAM
@@ -166,33 +168,38 @@ HEAD_SHAPES = [
     (16, 48, 32, 32, 32, 9, "same"),
     (1, 48, 32, 32, 32, 9, "same"),
 ]
+# the dense blocks' 3x3s (32 -> 8 maps) at training batch, paper and desk
+DENSE_SHAPES = [
+    (16, 32, 8, 32, 32, 3, "same"),
+    (16, 32, 8, 8, 8, 3, "same"),
+]
 
 
 @contextmanager
-def conv_path(fft):
-    """Run `conv2d` on the FFT path (True) or on im2col (False)."""
-    with mock.patch.object(conv, "_fft_pays", lambda *shapes: fft):
+def conv_path(path):
+    """Run `conv2d` on the named path: "im2col", "fft" or "taps"."""
+    with mock.patch.object(conv, "_conv_path", lambda *shapes: path):
         yield
 
 
 @contextmanager
 def recorded_paths():
-    """Record the path `conv2d` picks for each call (True: FFT)."""
+    """Record the path name `conv2d` picks for each call."""
     taken = []
-    choose = conv._fft_pays
+    choose = conv._conv_path
 
     def spy(*shapes):
         taken.append(choose(*shapes))
         return taken[-1]
 
-    with mock.patch.object(conv, "_fft_pays", spy):
+    with mock.patch.object(conv, "_conv_path", spy):
         yield taken
 
 
-def conv_on_path(fft, x, k, padding, g):
+def conv_on_path(path, x, k, padding, g):
     """(out, gx, gk) of a stride-1 `conv2d` for upstream gradient g."""
     xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
-    with conv_path(fft), Tape() as tape:
+    with conv_path(path), Tape() as tape:
         out = conv2d(xt, kt, 1, padding)
         backward(tape, (out * Tensor(g)).sum())
     return out.data, xt.grad, kt.grad
@@ -229,32 +236,37 @@ class TestConvPaths:
             (2, 3, 4, 9, 13, 5, "valid"),
             (2, 2, 3, 5, 7, 4, "same"),  # even kernel: the odd pad cell goes low side
             (1, 2, 3, 6, 7, 6, "valid"),
+            (2, 5, 2, 7, 9, 3, "same"),  # a dense 3x3's C > O, H != W
+            (1, 6, 2, 8, 5, 2, "same"),
         ],
     )
     def test_both_paths_match_loop_oracle_f64(self, shape):
+        # every path: the output against the loop oracle, and the output
+        # and both gradients against im2col's
         x, kern, padding, g = head_case(shape, seed=sum(shape[:6]))
         want = conv2d_loops(pad_same(x, kern.shape[-1]) if padding == "same" else x, kern)
-        im2col, fft = (conv_on_path(path, x, kern, padding, g) for path in (False, True))
+        im2col, *others = (conv_on_path(path, x, kern, padding, g) for path in PATHS)
         assert rel_err(im2col[0], want) <= 1e-12
-        assert rel_err(fft[0], want) <= 1e-12
-        for got, ref in zip(fft, im2col):
-            assert rel_err(got, ref) <= 1e-12
+        for other in others:
+            assert rel_err(other[0], want) <= 1e-12
+            for got, ref in zip(other, im2col):
+                assert rel_err(got, ref) <= 1e-12
 
     @pytest.mark.parametrize("shape", HEAD_SHAPES)
     def test_paths_agree_at_head_shapes_f64(self, shape):
-        im2col, fft = (conv_on_path(path, *head_case(shape, seed=5)) for path in (False, True))
+        im2col, fft = (conv_on_path(path, *head_case(shape, seed=5)) for path in ("im2col", "fft"))
         for got, ref in zip(fft, im2col):
             assert rel_err(got, ref) <= 1e-12
 
-    @pytest.mark.parametrize("shape", [HEAD_SHAPES[0], HEAD_SHAPES[3]])
+    @pytest.mark.parametrize("shape", [HEAD_SHAPES[0], HEAD_SHAPES[3], *DENSE_SHAPES])
     def test_f32_error_relative_to_map_maximum(self, shape):
-        # both paths within 2e-6 (about 17 f32 eps) of max|f64 result|, for
-        # the output and both gradients; measured: im2col <= 5.6e-7 and
-        # FFT <= 2.9e-7 at these shapes
+        # every path within 2e-6 (about 17 f32 eps) of max|f64 result|, for
+        # the output and both gradients; measured: im2col <= 6.1e-7, FFT
+        # <= 2.9e-7 and taps <= 4.9e-7 at these shapes
         x, kern, padding, g = head_case(shape, seed=6)
-        want = conv_on_path(False, x, kern, padding, g)
+        want = conv_on_path("im2col", x, kern, padding, g)
         lo = [a.astype(np.float32) for a in (x, kern)]
-        for path in (False, True):
+        for path in PATHS:
             got = conv_on_path(path, *lo, padding, g.astype(np.float32))
             for a, b in zip(got, want):
                 assert a.dtype == np.float32
@@ -263,26 +275,34 @@ class TestConvPaths:
     @pytest.mark.parametrize("fft", [False, True])
     def test_kernel_gradient_is_c_contiguous(self, fft):
         # adam_step reads the kernel gradient in whole-array passes
-        _, _, gk = conv_on_path(fft, *head_case((2, 3, 4, 9, 13, 5, "same"), seed=8))
+        _, _, gk = conv_on_path("fft" if fft else "im2col", *head_case((2, 3, 4, 9, 13, 5, "same"), seed=8))
+        assert gk.shape == (4, 3, 5, 5) and gk.flags.c_contiguous
+
+    def test_tap_kernel_gradient_is_c_contiguous(self):
+        _, _, gk = conv_on_path("taps", *head_case((2, 3, 4, 9, 13, 5, "same"), seed=8))
         assert gk.shape == (4, 3, 5, 5) and gk.flags.c_contiguous
 
     def test_nonfinite_input_spreads_over_the_image_on_the_fft_path(self):
         x, kern, padding, g = head_case((2, 3, 2, 8, 8, 9, "same"), seed=7)
         x[0, 1, 0, 0] = np.nan
-        with conv_path(False):
+        with conv_path("im2col"):
             local = conv2d(Tensor(x), Tensor(kern), 1, padding).data
-        with conv_path(True):
+        with conv_path("fft"):
             spread = conv2d(Tensor(x), Tensor(kern), 1, padding).data
-        # im2col: only the windows over cell (0, 0), rows and columns 0..4
-        assert np.isnan(local[0, :, :5, :5]).all() and np.isfinite(local[0, :, 5:]).all()
-        assert np.isnan(spread[0]).all()
-        assert np.isfinite(local[1]).all() and np.isfinite(spread[1]).all()
+        with conv_path("taps"):
+            taps = conv2d(Tensor(x), Tensor(kern), 1, padding).data
+        # im2col and taps: only the windows over cell (0, 0), rows and columns 0..4
+        for out in (local, taps):
+            assert np.isnan(out[0, :, :5, :5]).all() and np.isfinite(out[0, :, 5:]).all()
+            assert np.isfinite(out[0, :, :, 5:]).all() and np.isfinite(out[1]).all()
+        assert np.isnan(spread[0]).all() and np.isfinite(spread[1]).all()
 
     def test_network_convs_take_their_side(self):
         # the desk recipe's network at 64 px and 256 px; the stem's 7x7 runs
-        # in `conv_maxpool`, its 1x1 and the 3x3 convs stay on im2col, the
-        # 9x9 head goes to FFT at training and predict batches, and at
-        # batch 1 (Grad-CAM) only at 256 px
+        # in `conv_maxpool` and its 1x1 stays on im2col; the dense 3x3s run
+        # on taps, except on 8x8 desk maps at batch 1 (Grad-CAM); the 9x9
+        # head goes to FFT at training and predict batches, and at batch 1
+        # only at 256 px
         recipe = dict(
             down_channels=(16, 16),
             n_dense_blocks=1,
@@ -300,8 +320,9 @@ class TestConvPaths:
                     spy.side_effect = lambda x, k, *a, **kw: calls.append(k.shape[-1]) or original(x, k, *a, **kw)
                     net.pre_pool(np.zeros((B, 1, size, size), dtype=np.float32), mode="eval")
                 assert calls == [1] + [3] * 4 + [9]
-                head_fft = B > 1 or size == 256
-                assert taken == [False] + [False] * 4 + [head_fft], (size, B)
+                dense = "im2col" if (size, B) == (64, 1) else "taps"
+                head = "fft" if B > 1 or size == 256 else "im2col"
+                assert taken == ["im2col"] + [dense] * 4 + [head], (size, B)
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +903,29 @@ class TestFiniteDiff:
             assert finite_diff_check(lambda t: relu(conv2d(t, w, stride, pad)).sum(), x) <= 1e-4
             assert finite_diff_check(lambda t: relu(conv2d(x, t, stride, pad)).sum(), w) <= 1e-4
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # (B, C, H, W, O, k, padding), each large enough that conv2d
+            # picks the tap path for it
+            (16, 4, 8, 8, 1, 3, "same"),  # the desk dense 3x3's maps at batch 16
+            (1, 8, 32, 40, 2, 4, "same"),  # an even kernel, H != W
+            (1, 4, 34, 34, 1, 3, "valid"),
+            (4, 8, 20, 20, 2, 5, "valid"),
+        ],
+    )
+    def test_tap_path_gradients(self, shape):
+        # a seeded subset of coordinates, at the sweep's bound
+        B, C, H, W, O, k, pad = shape
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal((B, C, H, W)))
+        w = Tensor(rng.standard_normal((O, C, k, k)))
+        with recorded_paths() as taken:
+            conv2d(x, w, 1, pad)
+        assert taken == ["taps"]
+        assert finite_diff_check(lambda t: relu(conv2d(t, w, 1, pad)).sum(), x, max_coords=40) <= 1e-4
+        assert finite_diff_check(lambda t: relu(conv2d(x, t, 1, pad)).sum(), w, max_coords=40) <= 1e-4
+
     def test_fft_path_gradients_at_desk_head(self):
         # the desk head at batch 16, which conv2d runs on the FFT path; a
         # seeded subset of coordinates, at the sweep's bound
@@ -890,6 +934,6 @@ class TestFiniteDiff:
         w = Tensor(rng.standard_normal((32, 48, 9, 9)) / 9.0)
         with recorded_paths() as taken:
             conv2d(x, w, 1, "same")
-        assert taken == [True]
+        assert taken == ["fft"]
         assert finite_diff_check(lambda t: relu(conv2d(t, w, 1, "same")).sum(), x, max_coords=40) <= 1e-4
         assert finite_diff_check(lambda t: relu(conv2d(x, t, 1, "same")).sum(), w, max_coords=40) <= 1e-4
