@@ -18,7 +18,7 @@ from .routing import (
     Conv1x1CapsuleParams, FcCapsuleParams, conv1x1_capsule_forward, frozen_routing, route_conv1x1_naive, route_fc,
     softmax_lastdim, squash,
 )
-from .tensor import Tensor, broadcast_to, concat, einsum2, finite_diff_check, relu, square, tsum, vec_norm
+from .tensor import Tensor, concat, einsum2, finite_diff_check, relu, square, tsum, vec_norm
 
 
 def routing_equivalence():
@@ -94,9 +94,6 @@ def _op_checks():
     )
     yield "concat", lambda: finite_diff_check(
         lambda t: wsq(concat([t, t * 2.0], axis=1)), Tensor(rng.standard_normal((3, 2)))
-    )
-    yield "broadcast_to", lambda: finite_diff_check(
-        lambda t: wsq(broadcast_to(t, (5, 3, 2))), Tensor(rng.standard_normal((3, 2)))
     )
     yield "einsum2", lambda: finite_diff_check(
         lambda t: wsq(einsum2("ij,jk->ik", Tensor(a34), t)), Tensor(b45.copy())

@@ -235,9 +235,19 @@ def _checkpoint_from(net: Network, cfg: RunConfig, baseline: bool, adam: AdamSta
 
 
 def _restore_network(ckpt: Checkpoint):
-    """Rebuild the architecture from the config echo and load its state."""
+    """Rebuild the architecture from the config echo and load its state.
+
+    `train` echoes every registry key and `baseline`, so a missing key or a
+    `baseline` other than 0 or 1 rejects the checkpoint instead of loading
+    a default model.
+    """
     echoed = dict(ckpt.config)
-    baseline = echoed.pop("baseline", "0") == "1"
+    missing = [k for k in (*CONFIG_REGISTRY, "baseline") if k not in echoed]
+    if missing:
+        raise DataError(f"checkpoint config echo lacks key(s) {', '.join(missing)}")
+    if echoed["baseline"] not in ("0", "1"):
+        raise DataError(f"checkpoint config echo: baseline must be 0 or 1, got {echoed['baseline']!r}")
+    baseline = echoed.pop("baseline") == "1"
     try:
         cfg = RunConfig(echoed)
     except DataError as e:
@@ -460,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="checkpoint path")
     t.add_argument("--seed", type=_ranged(int, 0), default=0)
     t.add_argument("--epochs", type=_ranged(int, 0), default=10)
-    t.add_argument("--baseline", action="store_true", help="plain 1x1 convolutions instead of routing")
+    t.add_argument("--baseline", action="store_true", help="unrouted: every routed layer at zero iterations")
     t.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
     t.set_defaults(fn=cmd_train)
 

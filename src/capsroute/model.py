@@ -15,8 +15,9 @@ computes only the conv cells that the pool reads (about 9/16); its
 output is bitwise the pair's, and its kernel gradient differs from the
 pair's by summation order only.
 Dense blocks follow BN-ReLU-Conv(1x1)-BN-ReLU-Conv(3x3) composite layers
-where the 1x1 step is the routed capsule layer; the baseline variant swaps
-it for a plain 1x1 convolution of identical shape.
+where the 1x1 step is the routed capsule layer. The unrouted baseline is
+the same network at zero routing iterations: unit couplings make each 1x1
+a plain 1x1 convolution and the FC layer squash(sum_i u_hat_ij).
 Class scores are the L2 norms of the output capsules, so they live in
 [0, 1).
 """
@@ -33,16 +34,13 @@ from .routing import (
     FcCapsuleParams,
     conv1x1_capsule_forward,
     route_fc,
-    squash,
 )
 from .tensor import (
     Tensor,
-    broadcast_to,
     concat,
-    einsum2,
+    einsum2,  # unused here; kept so tracers that wrap `model.einsum2` still resolve it
     relu,
     resolve_dtype,
-    tsum,
     vec_norm,
 )
 
@@ -52,6 +50,11 @@ PRIMARY_CAPS_DIM = 8  # a primary capsule groups this many consecutive head maps
 
 class ConfigError(ValueError):
     """Network configuration that cannot be built."""
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer; bools are not sizes."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -82,10 +85,10 @@ class NetworkConfig:
             "n_classes": self.n_classes,
         }
         for name, value in positive.items():
-            if int(value) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if len(self.down_channels) != 2 or min(self.down_channels) < 1:
-            raise ConfigError(f"down_channels must be two extents >= 1, got {self.down_channels}")
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if len(self.down_channels) != 2 or not all(_is_int(c) and c >= 1 for c in self.down_channels):
+            raise ConfigError(f"down_channels must be two integer extents >= 1, got {self.down_channels!r}")
         if self.head_channels % PRIMARY_CAPS_DIM != 0:
             raise ConfigError(f"head_channels must be a multiple of {PRIMARY_CAPS_DIM}, got {self.head_channels}")
         half = -(-int(self.input_size) // 2)  # extent after the 7x7/2 stem conv
@@ -160,9 +163,10 @@ class Network:
     """Instantiated parameter set plus forward logic and named taps."""
 
     def __init__(self, config: NetworkConfig, seed: int, baseline: bool = False):
+        """`baseline` builds every routed layer at zero iterations: unrouted."""
         config.validate()
         self.config = config
-        self.baseline = baseline
+        iters = 0 if baseline else config.routing_iters
         self.trace = shape_trace(config)
         dt = resolve_dtype(config.dtype)
         rng = np.random.default_rng(seed)
@@ -188,7 +192,7 @@ class Network:
                         bn1_gamma=Tensor(np.ones(ch, dtype=dt), requires_grad=True),
                         bn1_beta=Tensor(np.zeros(ch, dtype=dt), requires_grad=True),
                         bn1_state=BatchNormState.fresh(ch, dtype=dt),
-                        route=Conv1x1CapsuleParams(param(ch, bott), config.routing_iters),
+                        route=Conv1x1CapsuleParams(param(ch, bott), iters),
                         bn2_gamma=Tensor(np.ones(bott, dtype=dt), requires_grad=True),
                         bn2_beta=Tensor(np.zeros(bott, dtype=dt), requires_grad=True),
                         bn2_state=BatchNormState.fresh(bott, dtype=dt),
@@ -205,9 +209,7 @@ class Network:
 
         grid = self.trace[-3][1][1]  # side of the pooled capsule grid
         n_caps = grid * grid * (config.head_channels // PRIMARY_CAPS_DIM)
-        self.fc = FcCapsuleParams(
-            param(n_caps, config.n_classes, PRIMARY_CAPS_DIM, config.caps_dim_class), config.routing_iters
-        )
+        self.fc = FcCapsuleParams(param(n_caps, config.n_classes, PRIMARY_CAPS_DIM, config.caps_dim_class), iters)
 
     # -- parameter/state registry -------------------------------------------
 
@@ -324,18 +326,15 @@ class Network:
     def composite_layer(self, feats: Tensor, lay: _CompositeLayer, mode: str, coupling_trace: dict | None = None) -> Tensor:
         """One dense-block step: BN-ReLU-1x1-BN-ReLU-3x3 conv, where the 1x1
 
-        is routed (plain in the baseline). Returns the growth_rate new maps;
-        the caller concatenates.
+        is routed (plain at zero iterations). Returns the growth_rate new
+        maps; the caller concatenates.
         """
         y = relu(batchnorm(feats, lay.bn1_gamma, lay.bn1_beta, lay.bn1_state, mode))
         B, C, H, W = y.shape
-        y3 = y.reshape(B, C, H * W)
-        if self.baseline:
-            wb = broadcast_to(lay.route.weights, (B,) + lay.route.weights.shape)
-            z3 = einsum2("bij,bis->bjs", wb, y3)
-        else:
-            trace = None if coupling_trace is None else coupling_trace.setdefault(lay.name, [])
-            z3 = conv1x1_capsule_forward(y3, lay.route, self.config.grad_mode, freeze_key=lay.name, trace=trace)
+        trace = None if coupling_trace is None else coupling_trace.setdefault(lay.name, [])
+        z3 = conv1x1_capsule_forward(
+            y.reshape(B, C, H * W), lay.route, self.config.grad_mode, freeze_key=lay.name, trace=trace
+        )
         z = z3.reshape(B, z3.shape[1], H, W)
         z = relu(batchnorm(z, lay.bn2_gamma, lay.bn2_beta, lay.bn2_state, mode))
         return conv2d(z, lay.conv3, stride=1, padding="same")
@@ -347,18 +346,8 @@ class Network:
         4x4 average pool, primary capsules, FC routing and capsule norms.
         """
         pooled = pool2d(pre_pool, "avg", 4, 4, padding="valid")
-        caps = primary_capsules(pooled)
-        if self.baseline:
-            u_hat = einsum2("bnd,njde->bnje", caps, self.fc.weights)
-            v = squash(tsum(u_hat, axis=1))
-        else:
-            v = route_fc(
-                caps,
-                self.fc,
-                self.config.grad_mode,
-                freeze_key="fc",
-                trace=None if coupling_trace is None else coupling_trace.setdefault("fc", []),
-            )
+        trace = None if coupling_trace is None else coupling_trace.setdefault("fc", [])
+        v = route_fc(primary_capsules(pooled), self.fc, self.config.grad_mode, freeze_key="fc", trace=trace)
         return vec_norm(v, axis=2)
 
 
@@ -382,9 +371,10 @@ def build_network(config: NetworkConfig, seed: int) -> Network:
 
 
 def baseline_variant(config: NetworkConfig, seed: int) -> Network:
-    """Identical architecture with plain 1x1 convolutions in place of the
+    """The unrouted baseline: the same network at zero routing iterations.
 
-    routed layers and a plain linear capsule head (squash retained).
-    Parameter shapes, count, and seeded values match the routed model's.
+    Unit couplings make every routed 1x1 a plain 1x1 convolution and the
+    FC layer squash(sum_i u_hat_ij). Parameter shapes, count, and seeded
+    values match the routed model's.
     """
     return Network(config, seed, baseline=True)

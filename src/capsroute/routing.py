@@ -17,7 +17,8 @@ or Gram matrices.
 
 The 1x1 and FC layers differ only in their evidence update, one taped
 step each that serves every round. `_iterate` is the one detached routing
-loop and `_route` the one coupling schedule. The taped squash is v times
+loop and `_route` the one coupling schedule; zero iterations give unit
+couplings, the unrouted baseline's layers. The taped squash is v times
 `_routing_scale_op` (the Gram step's |g|/(1+|g|^2)) of its squared norm,
 and the taped softmax `softmax_lastdim` runs `coupling_softmax`.
 """
@@ -54,12 +55,18 @@ class RoutingNumericalError(FloatingPointError):
     """A recovered squared norm fell below the tolerated rounding band."""
 
 
+def _check_iterations(n) -> None:
+    """An iteration count is an int or numpy integer >= 0; a bool is not one."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise RoutingError(f"iterations must be an integer >= 0, got {n!r}")
+
+
 @dataclass
 class Conv1x1CapsuleParams:
     """Scalar weights W[i, j] from input map i to output map j, plus the
 
-    number of routing iterations. The same matrix doubles as a plain 1x1
-    convolution kernel in the unrouted baseline.
+    number of routing iterations; at 0 the layer is the plain 1x1
+    convolution with this matrix as its kernel.
     """
 
     weights: Tensor
@@ -70,8 +77,7 @@ class Conv1x1CapsuleParams:
             self.weights = Tensor(self.weights)
         if self.weights.ndim != 2:
             raise RoutingError(f"weights must be 2D (I x J), got shape {self.weights.shape}")
-        if self.iterations < 1:
-            raise RoutingError(f"iterations must be >= 1, got {self.iterations}")
+        _check_iterations(self.iterations)
         if not np.all(np.isfinite(self.weights.data)):
             raise RoutingError("weights contain non-finite entries")
 
@@ -95,8 +101,7 @@ class FcCapsuleParams:
             self.weights = Tensor(self.weights)
         if self.weights.ndim != 4:
             raise RoutingError(f"weights must be 4D (N x J x d_in x d_out), got {self.weights.shape}")
-        if self.iterations < 1:
-            raise RoutingError(f"iterations must be >= 1, got {self.iterations}")
+        _check_iterations(self.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +185,9 @@ def route_conv1x1_naive(features, params: Conv1x1CapsuleParams, trace: Optional[
     """Full-map routing: every iteration recombines the feature maps.
 
     Returns (g, c): the J output maps built from the final couplings, and
-    those couplings. Logits start at zero, so one iteration reduces to the
-    uniform combination g_j = (1/J) sum_i W_ij f_i.
+    those couplings. Zero iterations give unit couplings, the plain 1x1
+    conv; logits start at zero, so one iteration reduces to the uniform
+    combination g_j = (1/J) sum_i W_ij f_i.
     """
     F = np.asarray(features, dtype=np.float64)
     if F.ndim != 2:
@@ -189,10 +195,10 @@ def route_conv1x1_naive(features, params: Conv1x1CapsuleParams, trace: Optional[
     W = params.weights.data.astype(np.float64)
     if F.shape[0] != W.shape[0]:
         raise RoutingError(f"features carry {F.shape[0]} maps but weights expect {W.shape[0]}")
+    if params.iterations == 0:
+        return W.T @ F, np.ones_like(W)
     I, J = W.shape
     b = np.zeros((I, J))
-    g = None
-    c = None
     for it in range(params.iterations):
         c = coupling_softmax(b)
         if trace is not None:
@@ -265,16 +271,17 @@ def _fc_step(c: Tensor, u_hat: Tensor) -> Tensor:
 def _route(step, operands, shape, dtype, r: int, grad_mode: str, freeze_key, trace) -> Tensor:
     """The coupling schedule of both routed layers; returns the final couplings.
 
-    r=1 gives uniform couplings without calling `operands`, so the 1x1
-    layer builds no Gram matrix. Otherwise `step` runs r-1 detached rounds
-    on gradient-free wrappers of `operands()` ("none"), or r-2 of them
-    followed by one round on the taped operands ("last"). `frozen_routing`
-    pins the detached logits.
+    r=0 gives unit couplings, so the 1x1 layer is the plain 1x1 conv and
+    the FC layer squash(sum_i u_hat_ij); r=1 gives uniform ones. Neither
+    calls `operands`, so the 1x1 layer builds no Gram matrix. Otherwise
+    `step` runs r-1 detached rounds on gradient-free wrappers of
+    `operands()` ("none"), or r-2 of them followed by one round on the
+    taped operands ("last"). `frozen_routing` pins the detached logits.
     """
     if grad_mode not in ("none", "last"):
         raise RoutingError(f"grad_mode must be 'none' or 'last', got {grad_mode!r}")
-    if r == 1:
-        c = Tensor(np.full(shape, 1.0 / shape[-1], dtype=dtype))
+    if r <= 1:
+        c = Tensor(np.full(shape, 1.0 if r == 0 else 1.0 / shape[-1], dtype=dtype))
     else:
         taped_ops = operands()
         detached = tuple(Tensor(t.data) for t in taped_ops)

@@ -289,11 +289,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return record(out, (a,), lambda g: (g.transpose(inv),))
 
 
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    out = Tensor(np.ascontiguousarray(np.broadcast_to(a.data, shape)))
-    return record(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]

@@ -329,6 +329,45 @@ class TestEval:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("baseline", "yes", "baseline must be 0 or 1, got 'yes'"),
+            ("baseline", "2", "baseline must be 0 or 1, got '2'"),
+            ("baseline", "", "baseline must be 0 or 1, got ''"),
+            ("baseline", None, "lacks key(s) baseline"),
+            ("routing_iters", None, "lacks key(s) routing_iters"),
+        ],
+    )
+    def test_damaged_config_echo_exit_2(self, command, key, value, message, dataset, trained, tmp_path, capsys):
+        # a wrong echo must not load a default model: a missing routing_iters
+        # would build the CLI default, a bad baseline the routed net
+        ck = load_checkpoint(trained)
+        if value is None:
+            del ck.config[key]
+        else:
+            ck.config[key] = value
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, ck)
+        entries = load_manifest(dataset / "test.csv")
+        args = {
+            "eval": ["--manifest", str(dataset / "test.csv"), "--images-root", str(dataset)]
+            + ["--report", str(tmp_path / "r.csv")],
+            "gradcam": ["--image", str(dataset / entries[0].path), "--class", "0", "--out", str(tmp_path / "h.pgm")],
+        }[command]
+        assert main([command, "--ckpt", str(bad), *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.glob("r.csv*")) and not any(tmp_path.glob("h.pgm*"))
+
+    def test_baseline_echo_restores_the_unrouted_net(self, dataset, tmp_path):
+        out = tmp_path / "base.ckpt"
+        train = ["train", "--manifest", str(dataset / "train.csv"), "--images-root", str(dataset), "--out", str(out)]
+        assert main(_tiny_args([*train, "--epochs", "1", "--baseline"])) == 0
+        net, _, baseline = cli._restore_network(load_checkpoint(out))
+        assert baseline and load_checkpoint(out).config["baseline"] == "1"
+        assert net.fc.iterations == 0 and all(lay.route.iterations == 0 for lay in net.blocks[0])
+
     def test_box_class_out_of_range_exit_2_without_report(self, dataset, trained, tmp_path, capsys):
         lines = (dataset / "test.csv").read_text().splitlines()
         path = lines[1].split(",")[0]
@@ -480,6 +519,7 @@ class TestSelftest:
             assert suite in out
         # the suites run at the acceptance tests' full size
         assert "routing-equivalence: 400/400 passed" in out
+        assert "gradient-checks: 50/50 passed" in out
         assert "auc-oracle: 1000/1000 passed" in out
         assert "iobb-geometry: 4/4 passed" in out
 

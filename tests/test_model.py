@@ -85,6 +85,30 @@ class TestShapeTrace:
         with pytest.raises(ConfigError, match="multiple of 8"):
             NetworkConfig(head_channels=12).validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("growth_rate", 8.0),
+            ("routing_iters", 2.5),
+            ("n_classes", True),
+            ("input_size", "64"),
+            ("down_channels", (16.0, 16)),
+            ("down_channels", (16, False)),
+        ],
+    )
+    def test_non_integer_sizes_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            NetworkConfig(**{field: value}).validate()
+
+    def test_numpy_integer_sizes_accepted(self):
+        NetworkConfig(growth_rate=np.int64(8), down_channels=(np.int32(16), 16)).validate()
+
+    def test_routing_iters_stays_at_least_one(self):
+        # zero iterations is the baseline's setting, chosen by
+        # `baseline_variant`, not a config value
+        with pytest.raises(ConfigError, match="routing_iters"):
+            NetworkConfig(routing_iters=0).validate()
+
 
 def reference_stem(net, x):
     """The stem in the four stages it is specified by: conv 7x7/2, max pool
@@ -190,6 +214,13 @@ class TestBuild:
         b_total = sum(np.prod(s) for s in bs.values())
         assert n_total == b_total
 
+    def test_baseline_layers_route_at_zero_iterations(self):
+        cfg = desk_config(routing_iters=3)
+        for make, iters in ((build_network, 3), (baseline_variant, 0)):
+            net = make(cfg, seed=1)
+            assert [lay.route.iterations for lay in net.blocks[0]] == [iters, iters]
+            assert net.fc.iterations == iters
+
 
 class TestPrimaryCapsules:
     def test_64_channels_on_8x8_grid(self):
@@ -275,12 +306,10 @@ class TestCompositeLayer:
         lay_b = base.blocks[0][0]
         x = Tensor(rng.standard_normal((2, 8, 8, 8)))
         from capsroute.routing import conv1x1_capsule_forward
-        from capsroute.tensor import broadcast_to, einsum2
 
         y3 = x.reshape(2, 8, 64)
         g_routed = conv1x1_capsule_forward(y3, lay_r.route, "none")
-        wb = broadcast_to(lay_b.route.weights, (2, 8, 8))
-        g_plain = einsum2("bij,bis->bjs", wb, y3)
+        g_plain = conv1x1_capsule_forward(y3, lay_b.route, "none")
         np.testing.assert_array_equal(g_routed.data * 8, g_plain.data)
 
     def test_routed_differs_from_baseline_when_routing_active(self):
@@ -324,6 +353,33 @@ class TestEndToEndGradient:
         with frozen_routing():
             for name, p in net.parameters().items():
                 err = finite_diff_check(lambda _t: loss(), p, max_coords=20, seed=21)
+                assert err <= 1e-3, f"{name}: {err}"
+
+    @pytest.mark.parametrize("dense_r,fc_r", [(3, 0), (0, 3)])
+    def test_mixed_routing_arms_finite_difference(self, dense_r, fc_r):
+        # one arm routes only the dense 1x1s, the other only the FC layer;
+        # both are set on the built net, with no config key
+        net = build_network(tiny_config(layers_per_block=2), seed=25)
+        for lay in net.blocks[0]:
+            lay.route.iterations = dense_r
+        net.fc.iterations = fc_r
+        rng = np.random.default_rng(26)
+        batch = rng.standard_normal((2, 1, 32, 32))
+        probe = Tensor(rng.standard_normal((2, 2)))
+        trace = {}
+        scores, _ = net.forward(batch, mode="train", coupling_trace=trace)
+        assert np.all(np.isfinite(scores.data)) and np.all((scores.data >= 0) & (scores.data < 1))
+        assert [len(trace[k]) for k in ("block0.layer0", "block0.layer1", "fc")] == [
+            max(dense_r, 1), max(dense_r, 1), max(fc_r, 1)
+        ]
+
+        def loss():
+            scores, _ = net.forward(batch, mode="train")
+            return (scores * probe).sum()
+
+        with frozen_routing():
+            for name, p in net.parameters().items():
+                err = finite_diff_check(lambda _t: loss(), p, max_coords=12, seed=27)
                 assert err <= 1e-3, f"{name}: {err}"
 
 

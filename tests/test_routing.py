@@ -19,7 +19,7 @@ from capsroute.routing import (
     route_fc,
     squash,
 )
-from capsroute.tensor import Tape, Tensor, backward, finite_diff_check
+from capsroute.tensor import Tape, Tensor, backward, einsum2, finite_diff_check, tsum
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +208,30 @@ class TestNaiveRouting:
             np.testing.assert_allclose(g, g_ref, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(c, c_ref, rtol=1e-10, atol=1e-12)
 
-    def test_iterations_below_one_rejected(self):
-        with pytest.raises(RoutingError):
-            Conv1x1CapsuleParams(np.ones((2, 2)), iterations=0)
+    def test_zero_iterations_is_plain_combination(self):
+        rng = np.random.default_rng(8)
+        F = rng.standard_normal((4, 10))
+        W = rng.standard_normal((4, 3))
+        g, c = route_conv1x1_naive(F, Conv1x1CapsuleParams(W, iterations=0))
+        np.testing.assert_array_equal(c, np.ones((4, 3)))
+        np.testing.assert_array_equal(g, W.T @ F)
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(RoutingError, match="iterations must be an integer >= 0, got -1"):
+            Conv1x1CapsuleParams(np.ones((2, 2)), iterations=-1)
+        with pytest.raises(RoutingError, match="iterations must be an integer >= 0, got -1"):
+            FcCapsuleParams(np.ones((2, 2, 2, 2)), iterations=-1)
+
+    @pytest.mark.parametrize("iterations", [True, False, 2.5, 2.0, np.float64(3), "3", None])
+    def test_non_integer_iterations_rejected(self, iterations):
+        with pytest.raises(RoutingError, match="iterations must be an integer >= 0"):
+            Conv1x1CapsuleParams(np.ones((2, 2)), iterations=iterations)
+        with pytest.raises(RoutingError, match="iterations must be an integer >= 0"):
+            FcCapsuleParams(np.ones((2, 2, 2, 2)), iterations=iterations)
+
+    def test_numpy_integer_iterations_accepted(self):
+        assert Conv1x1CapsuleParams(np.ones((2, 2)), iterations=np.int64(2)).iterations == 2
+        assert FcCapsuleParams(np.ones((2, 2, 2, 2)), iterations=np.int32(0)).iterations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +382,26 @@ class TestConv1x1CapsuleForward:
                 g_naive, _ = route_conv1x1_naive(feats[bi], params)
                 np.testing.assert_allclose(out.data[bi], g_naive, rtol=1e-9, atol=1e-10)
 
-    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("grad_mode", ["none", "last"])
+    def test_r0_matches_naive_and_plain_conv(self, grad_mode):
+        # c1's bound: the shipped layer and the naive path within 1e-9 in f64
+        rng = np.random.default_rng(21)
+        B, I, J, H, Wd = 3, 6, 4, 5, 5
+        feats4 = rng.standard_normal((B, I, H, Wd))
+        W = rng.standard_normal((I, J))
+        params = Conv1x1CapsuleParams(Tensor(W), iterations=0)
+        trace = []
+        out = conv1x1_capsule_forward(Tensor(feats4.reshape(B, I, -1)), params, grad_mode, trace=trace)
+        assert len(trace) == 1
+        np.testing.assert_array_equal(trace[0], np.ones((B, I, J)))
+        for bi in range(B):
+            g_naive, c_naive = route_conv1x1_naive(feats4[bi].reshape(I, -1), params)
+            np.testing.assert_array_equal(c_naive, np.ones((I, J)))
+            assert np.abs(out.data[bi] - g_naive).max() <= 1e-9
+        plain = conv2d(Tensor(feats4), Tensor(W.T.reshape(J, I, 1, 1).copy()))
+        np.testing.assert_allclose(out.data.reshape(B, J, H, Wd), plain.data, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
     def test_gradients_match_finite_differences(self, r):
         rng = np.random.default_rng(14)
         feats = Tensor(rng.standard_normal((2, 4, 7)))
@@ -436,7 +476,26 @@ class TestRouteFc:
             for ca, cb in zip(trace_a, trace_b):
                 np.testing.assert_allclose(ca, cb, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "dtype,B,N,bound",
+        [(np.float32, 16, 16, 0.0), (np.float32, 1, 16, 0.0), (np.float32, 16, 256, 1e-6), (np.float64, 4, 64, 1e-14)],
+    )
+    def test_r0_is_squash_of_summed_predictions(self, dtype, B, N, bound):
+        # N = 16 is the desk net's capsule count, N = 256 the 256-px net's;
+        # the unit-coupling combine is one matmul over n, bitwise numpy's
+        # axis sum only at the desk shape
+        rng = np.random.default_rng(22)
+        u = Tensor(rng.standard_normal((B, N, 8)).astype(dtype))
+        W = Tensor((rng.standard_normal((N, 4, 8, 16)) * 0.05).astype(dtype))
+        trace = []
+        v = route_fc(u, FcCapsuleParams(W, 0), trace=trace)
+        want = squash(tsum(einsum2("bnd,njde->bnje", u, W), axis=1))
+        assert v.dtype == dtype and len(trace) == 1
+        np.testing.assert_array_equal(trace[0], np.ones((B, N, 4)))
+        rel = np.abs(v.data - want.data).max() / np.abs(want.data).max()
+        assert rel <= bound
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_gradients_match_finite_differences(self, r):
         rng = np.random.default_rng(19)
         u = Tensor(rng.standard_normal((2, 3, 4)))

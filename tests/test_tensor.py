@@ -795,7 +795,7 @@ class TestEinsum2:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stride_zero_broadcast_operand(self, dtype):
-        # the baseline's plain 1x1 contracts a weight matrix broadcast over the batch
+        # a weight matrix broadcast over the batch reaches matmul as a stride-0 view
         w = np.random.default_rng(30).standard_normal((5, 4)).astype(dtype)
         wb = np.broadcast_to(w, (3, 5, 4))
         assert wb.strides[0] == 0
