@@ -1,6 +1,6 @@
 """Capsule network with dynamic routing on 1x1 convolutional layers."""
 
-from .conv import batchnorm, conv2d, pool2d
+from .conv import affine_relu, batchnorm, conv2d, pool2d
 from .evaluation import auc_per_class, grad_cam, iobb, localization_accuracy
 from .model import NetworkConfig, baseline_variant, build_network
 from .routing import (

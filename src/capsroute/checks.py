@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import BatchNormState, batchnorm, conv2d, conv_maxpool, pool2d
+from .conv import BatchNormState, affine_relu, batchnorm, conv2d, conv_maxpool, pool2d
 from .evaluation import BBox, auc, iobb
 from .model import NetworkConfig, build_network
 from .routing import (
     Conv1x1CapsuleParams, FcCapsuleParams, conv1x1_capsule_forward, frozen_routing, route_conv1x1_naive, route_fc,
     softmax_lastdim, squash,
 )
-from .tensor import Tensor, concat, einsum2, finite_diff_check, relu, square, tsum, vec_norm
+from .tensor import Tensor, einsum2, finite_diff_check, relu, square, tsum, vec_norm
 
 
 def routing_equivalence():
@@ -92,8 +92,10 @@ def _op_checks():
         lambda t: wsq(t.reshape(2, 8).transpose((1, 0)) * w82),
         Tensor(rng.standard_normal((4, 4))),
     )
-    yield "concat", lambda: finite_diff_check(
-        lambda t: wsq(concat([t, t * 2.0], axis=1)), Tensor(rng.standard_normal((3, 2)))
+    # a reader of two normalized groups: its gradient splits along channels
+    xa, g5, b5 = rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(5) + 1.0, rng.standard_normal(5)
+    yield "affine_relu/parts", lambda: finite_diff_check(
+        lambda t: wsq(affine_relu([Tensor(xa), t], Tensor(g5), Tensor(b5))), Tensor(rng.standard_normal((2, 3, 3, 3)))
     )
     yield "einsum2", lambda: finite_diff_check(
         lambda t: wsq(einsum2("ij,jk->ik", Tensor(a34), t)), Tensor(b45.copy())
@@ -129,7 +131,7 @@ def _op_checks():
         def f(t):
             args = {"x": x_t, "gamma": g_t, "beta": b_t}
             args[which] = t
-            y = batchnorm(args["x"], args["gamma"], args["beta"], state, mode=mode)
+            y = affine_relu([batchnorm(args["x"], state, mode=mode)], args["gamma"], args["beta"])
             # the linear term keeps every gradient coordinate O(1) so the
             # relative-error metric is not noise-dominated near zeros
             return wsq(y * Tensor(w)) + (y * w_lin).sum()

@@ -32,8 +32,10 @@ against the kernel placed once per pool cell. Both max pools take one
 rule from `_first_max` (maxima in row-major tap order, a window's
 gradient to its first maximal tap), so `conv_maxpool`'s output is
 bitwise the pair's. Batch
-normalization reduces over a (B, C, H*W) view of its input and uses the
-closed-form gradient.
+normalization is split in two ops so that a dense block normalizes each
+channel once: `batchnorm` gives x_hat from statistics over a (B, C, H*W)
+view of its input, and each reader of x_hat applies its own scale, shift
+and ReLU in `affine_relu`; both use closed-form gradients.
 """
 
 from __future__ import annotations
@@ -488,7 +490,8 @@ def conv_maxpool(x: Tensor, kernel: Tensor, stride: int, size: int, pool_stride:
 
 @dataclass
 class BatchNormState:
-    """Per-channel running statistics, updated by exponential moving average."""
+    """Per-channel running statistics, updated in place by exponential
+    moving average (so a state may view a slice of a larger one)."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
@@ -500,26 +503,27 @@ class BatchNormState:
 
 def batchnorm(
     x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
     state: BatchNormState,
     mode: str = "train",
     eps: float = 1e-5,
     momentum: float = 0.9,
+    out: np.ndarray | None = None,
 ) -> Tensor:
-    """Per-channel batch normalization over (batch, height, width).
+    """Per-channel normalization over (batch, height, width): x_hat, with
+    no scale or shift; each reader applies its own in `affine_relu`.
 
     Train mode normalizes with the current batch statistics (biased
     variance) and folds them into the running stats; eval mode uses the
     running stats. Both modes are differentiable. x is viewed as
     (B, C, H*W), and every per-channel sum reduces the contiguous H*W axis
     first, then the batch. The variance comes from row dot products of the
-    centred array, which is then scaled in place to x_hat; the output is
-    x_hat * gamma + beta. With a = gamma * inv_std and n = B*H*W the
-    gradients are the closed forms (Ioffe & Szegedy, arXiv 1502.03167)
-    g_beta = sum g, g_gamma = sum g * x_hat (row dot products, no full
-    temporary), and g_x = a*g - x_hat*(a*g_gamma/n) - a*g_beta/n in train
-    mode, a*g in eval mode.
+    centred array, which is then scaled in place to x_hat. x_hat is written
+    into `out` when given, a (B, C, H, W) array or view such as a channel
+    slice of a dense block's buffer. The backward takes G = dL/dx_hat,
+    which the tape has summed over every reader, and returns
+    inv_std * (G - mean G - x_hat * mean(G * x_hat)) in train mode (means
+    over batch and cells; Ioffe & Szegedy, arXiv 1502.03167) and
+    inv_std * G in eval mode.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm expects 4D input, got {x.shape}")
@@ -527,44 +531,75 @@ def batchnorm(
     n = B * H * W
     if n == 0:
         raise ShapeError(f"batchnorm over no values per channel, input {x.shape}")
-    if gamma.size != C or beta.size != C:
-        raise ShapeError(f"gamma/beta must have {C} entries, got {gamma.size}/{beta.size}")
+    if state.running_mean.shape != (C,) or state.running_var.shape != (C,):
+        raise ShapeError(f"running stats must have {C} entries, got {state.running_mean.shape}")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
     xv = x.data.reshape(B, C, H * W)
+    if out is None:
+        out = np.empty(x.shape, dtype=x.data.dtype)
+    xhat = out.reshape(B, C, H * W)
     if mode == "train":
         mu = xv.sum(axis=2).sum(axis=0) / n
-        xhat = xv - mu[:, None]
+        np.subtract(xv, mu[:, None], out=xhat)
         var = np.vecdot(xhat, xhat).sum(axis=0) / n
-        state.running_mean = momentum * state.running_mean + (1.0 - momentum) * mu
-        state.running_var = momentum * state.running_var + (1.0 - momentum) * var
+        np.add(momentum * state.running_mean, (1.0 - momentum) * mu, out=state.running_mean)
+        np.add(momentum * state.running_var, (1.0 - momentum) * var, out=state.running_var)
     else:
-        xhat = xv - state.running_mean.astype(x.data.dtype)[:, None]
+        np.subtract(xv, state.running_mean.astype(x.data.dtype)[:, None], out=xhat)
         var = state.running_var.astype(x.data.dtype)
 
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std[:, None]
-    y = xhat * gamma.data.reshape(C, 1)
-    y += beta.data.reshape(C, 1)
-    out = Tensor(y.reshape(x.shape))
 
     def vjp(g):
         g3 = g.reshape(B, C, H * W)
-        gbet = g3.sum(axis=2).sum(axis=0)
-        ggam = np.vecdot(g3, xhat).sum(axis=0)
-        gx = None
-        if x.requires_grad:
-            a = gamma.data.reshape(C) * inv_std
-            gx = g3 * a[:, None]
-            if mode == "train":
-                gx -= xhat * (a * ggam / n)[:, None]
-                gx -= (a * gbet / n)[:, None]
-            gx = gx.reshape(x.shape)
+        if mode == "eval":
+            return ((g3 * inv_std[:, None]).reshape(x.shape),)
+        gx = xhat * (-np.vecdot(g3, xhat).sum(axis=0) / n)[:, None]
+        gx += g3
+        gx -= (g3.sum(axis=2).sum(axis=0) / n)[:, None]
+        gx *= inv_std[:, None]
+        return (gx.reshape(x.shape),)
+
+    return record(Tensor(out), (x,), vjp)
+
+
+def affine_relu(parts, gamma: Tensor, beta: Tensor, joined: np.ndarray | None = None) -> Tensor:
+    """relu(x_hat * gamma + beta) per channel: one reader of normalized maps.
+
+    x_hat is `parts`, (B, C_i, H, W) tensors, joined along channels;
+    `joined` is that concatenation when the caller holds it already (the
+    prefix of a dense block's x_hat buffer), and it is built otherwise. With
+    m = g * (y > 0), the backward gives g_beta = sum m and g_gamma =
+    sum m * x_hat per channel (row dot products), and each part the slice
+    of gamma * m over its channels.
+    """
+    parts = tuple(parts)
+    if joined is None:
+        joined = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], axis=1)
+    if joined.ndim != 4:
+        raise ShapeError(f"affine_relu expects 4D input, got {joined.shape}")
+    B, C, H, W = joined.shape
+    if gamma.size != C or beta.size != C:
+        raise ShapeError(f"gamma/beta must have {C} entries, got {gamma.size}/{beta.size}")
+    y = joined * gamma.data.reshape(C, 1, 1)
+    y += beta.data.reshape(C, 1, 1)
+    np.maximum(y, 0, out=y)
+
+    def vjp(g):
+        m = g * (y > 0)
+        m3, x3 = m.reshape(B, C, H * W), joined.reshape(B, C, H * W)
+        gbet = m3.sum(axis=2).sum(axis=0)
+        ggam = np.vecdot(m3, x3).sum(axis=0)
+        m *= gamma.data.reshape(C, 1, 1)
+        splits = np.cumsum([p.shape[1] for p in parts])[:-1]
+        pieces = [s if p.requires_grad else None for s, p in zip(np.split(m, splits, axis=1), parts)]
         return (
-            gx,
+            *pieces,
             ggam.reshape(gamma.shape) if gamma.requires_grad else None,
             gbet.reshape(beta.shape) if beta.requires_grad else None,
         )
 
-    return record(out, (x, gamma, beta), vjp)
+    return record(Tensor(y), (*parts, gamma, beta), vjp)

@@ -15,7 +15,14 @@ computes only the conv cells that the pool reads (about 9/16); its
 output is bitwise the pair's, and its kernel gradient differs from the
 pair's by summation order only.
 Dense blocks follow BN-ReLU-Conv(1x1)-BN-ReLU-Conv(3x3) composite layers
-where the 1x1 step is the routed capsule layer. The unrouted baseline is
+where the 1x1 step is the routed capsule layer. A channel's batch
+statistics are the same in every BN that reads it, so each channel is
+normalized once, when it joins, into one x_hat buffer that spans every
+block up to the head (Pleiss et al., arXiv 1707.06990), with one running
+mean and variance per channel. Each reader (every layer's first BN and
+the head BN) applies its own gamma, beta and ReLU to a prefix of that
+buffer; the tape adds the readers' gradients in x_hat space. Eval outputs
+are bitwise those of a BN per reader. The unrouted baseline is
 the same network at zero routing iterations: unit couplings make each 1x1
 a plain 1x1 convolution and the FC layer squash(sum_i u_hat_ij).
 Class scores are the L2 norms of the output capsules, so they live in
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import BatchNormState, batchnorm, conv2d, conv_maxpool, pool2d
+from .conv import BatchNormState, affine_relu, batchnorm, conv2d, conv_maxpool, pool2d
 from .routing import (
     Conv1x1CapsuleParams,
     FcCapsuleParams,
@@ -37,9 +44,7 @@ from .routing import (
 )
 from .tensor import (
     Tensor,
-    concat,
     einsum2,  # unused here; kept so tracers that wrap `model.einsum2` still resolve it
-    relu,
     resolve_dtype,
     vec_norm,
 )
@@ -108,12 +113,12 @@ class _CompositeLayer:
     name: str
     bn1_gamma: Tensor
     bn1_beta: Tensor
-    bn1_state: BatchNormState
     route: Conv1x1CapsuleParams
     bn2_gamma: Tensor
     bn2_beta: Tensor
     bn2_state: BatchNormState
     conv3: Tensor
+    norm_state: BatchNormState  # running stats of the maps it adds: a view into Network.dense_state
 
 
 def shape_trace(config: NetworkConfig) -> list[tuple[str, tuple[int, int, int]]]:
@@ -180,6 +185,9 @@ class Network:
         self.stem_conv1 = param(c1, 1, 7, 7)
         self.stem_conv2 = param(c2, c1, 1, 1)
 
+        n_dense = c2 + config.n_dense_blocks * config.layers_per_block * k
+        self.dense_state = BatchNormState.fresh(n_dense, dtype=dt)
+        self.stem_norm_state = self._dense_slice(0, c2)
         self.blocks: list[list[_CompositeLayer]] = []
         ch = c2
         for b in range(config.n_dense_blocks):
@@ -191,12 +199,12 @@ class Network:
                         name=name,
                         bn1_gamma=Tensor(np.ones(ch, dtype=dt), requires_grad=True),
                         bn1_beta=Tensor(np.zeros(ch, dtype=dt), requires_grad=True),
-                        bn1_state=BatchNormState.fresh(ch, dtype=dt),
                         route=Conv1x1CapsuleParams(param(ch, bott), iters),
                         bn2_gamma=Tensor(np.ones(bott, dtype=dt), requires_grad=True),
                         bn2_beta=Tensor(np.zeros(bott, dtype=dt), requires_grad=True),
                         bn2_state=BatchNormState.fresh(bott, dtype=dt),
                         conv3=param(k, bott, 3, 3),
+                        norm_state=self._dense_slice(ch, ch + k),
                     )
                 )
                 ch += k
@@ -204,12 +212,15 @@ class Network:
 
         self.head_bn_gamma = Tensor(np.ones(ch, dtype=dt), requires_grad=True)
         self.head_bn_beta = Tensor(np.zeros(ch, dtype=dt), requires_grad=True)
-        self.head_bn_state = BatchNormState.fresh(ch, dtype=dt)
         self.head_conv = param(config.head_channels, ch, 9, 9)
 
         grid = self.trace[-3][1][1]  # side of the pooled capsule grid
         n_caps = grid * grid * (config.head_channels // PRIMARY_CAPS_DIM)
         self.fc = FcCapsuleParams(param(n_caps, config.n_classes, PRIMARY_CAPS_DIM, config.caps_dim_class), iters)
+
+    def _dense_slice(self, lo: int, hi: int) -> BatchNormState:
+        st = self.dense_state
+        return BatchNormState(st.running_mean[lo:hi], st.running_var[lo:hi])
 
     # -- parameter/state registry -------------------------------------------
 
@@ -230,12 +241,12 @@ class Network:
         return out
 
     def bn_states(self) -> dict[str, BatchNormState]:
-        out = {}
+        """Running stats: one entry per dense channel ("dense", stem maps
+        first, then each layer's in order) and each layer's second BN."""
+        out = {"dense": self.dense_state}
         for layers in self.blocks:
             for lay in layers:
-                out[f"{lay.name}.bn1"] = lay.bn1_state
                 out[f"{lay.name}.bn2"] = lay.bn2_state
-        out["head.bn"] = self.head_bn_state
         return out
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -262,8 +273,11 @@ class Network:
                 raise ConfigError(f"{name}: saved shape {src.shape} != built shape {p.data.shape}")
             p.data = src.astype(p.data.dtype, copy=True)
         for name, st in self.bn_states().items():
-            st.running_mean = arrays[f"{name}.running_mean"].astype(st.running_mean.dtype, copy=True)
-            st.running_var = arrays[f"{name}.running_var"].astype(st.running_var.dtype, copy=True)
+            for stat in ("running_mean", "running_var"):
+                dest, src = getattr(st, stat), arrays[f"{name}.{stat}"]
+                if src.shape != dest.shape:
+                    raise ConfigError(f"{name}.{stat}: saved shape {src.shape} != built shape {dest.shape}")
+                dest[...] = src  # in place: the layers' slices view these arrays
 
     def predict(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Eval-mode class scores for a stack of prepared (N, 1, H, W) or
@@ -303,13 +317,25 @@ class Network:
             raise ConfigError(
                 f"expected (N, 1, {self.config.input_size}, {self.config.input_size}) input, got {x.shape}"
             )
-        x = self.stem(x)
+        return self.dense_head(self.stem(x), mode, coupling_trace)
+
+    def dense_head(self, x: Tensor, mode: str = "train", coupling_trace: dict | None = None) -> Tensor:
+        """Dense blocks, head BN-ReLU and 9x9 conv on the stem's output x.
+
+        Each channel group (the stem's maps, then each layer's new maps) is
+        normalized once into one x_hat buffer; every layer reads the prefix
+        written so far, and the head reads all of it.
+        """
+        B, c, H, W = x.shape
+        xhat = np.empty((B, self.dense_state.running_mean.size, H, W), dtype=x.dtype)
+        parts = [batchnorm(x, self.stem_norm_state, mode, out=xhat[:, :c])]
         for layers in self.blocks:
             for lay in layers:
-                x = concat([x, self.composite_layer(x, lay, mode, coupling_trace)], axis=1)
-
-        x = relu(batchnorm(x, self.head_bn_gamma, self.head_bn_beta, self.head_bn_state, mode))
-        return conv2d(x, self.head_conv, stride=1, padding="same")
+                new = self.composite_layer(parts, lay, mode, coupling_trace, xhat[:, :c])
+                parts.append(batchnorm(new, lay.norm_state, mode, out=xhat[:, c : c + new.shape[1]]))
+                c += new.shape[1]
+        y = affine_relu(parts, self.head_bn_gamma, self.head_bn_beta, xhat)
+        return conv2d(y, self.head_conv, stride=1, padding="same")
 
     def stem(self, x: Tensor) -> Tensor:
         """Conv 7x7/2, max pool 3/4, conv 1x1/1 and avg pool 2/1: the
@@ -323,20 +349,24 @@ class Network:
         x = conv2d(x, self.stem_conv2, stride=1, padding="valid")
         return pool2d(x, "avg", 2, 1, padding="same")
 
-    def composite_layer(self, feats: Tensor, lay: _CompositeLayer, mode: str, coupling_trace: dict | None = None) -> Tensor:
+    def composite_layer(
+        self, xhat, lay: _CompositeLayer, mode: str, coupling_trace: dict | None = None, joined=None
+    ) -> Tensor:
         """One dense-block step: BN-ReLU-1x1-BN-ReLU-3x3 conv, where the 1x1
 
-        is routed (plain at zero iterations). Returns the growth_rate new
-        maps; the caller concatenates.
+        is routed (plain at zero iterations) and the first BN is this
+        layer's gamma and beta over `xhat`, the block's normalized channel
+        groups in order (`joined`: their concatenation, if the caller holds
+        it). Returns the growth_rate new maps, unnormalized.
         """
-        y = relu(batchnorm(feats, lay.bn1_gamma, lay.bn1_beta, lay.bn1_state, mode))
+        y = affine_relu(xhat, lay.bn1_gamma, lay.bn1_beta, joined)
         B, C, H, W = y.shape
         trace = None if coupling_trace is None else coupling_trace.setdefault(lay.name, [])
         z3 = conv1x1_capsule_forward(
             y.reshape(B, C, H * W), lay.route, self.config.grad_mode, freeze_key=lay.name, trace=trace
         )
         z = z3.reshape(B, z3.shape[1], H, W)
-        z = relu(batchnorm(z, lay.bn2_gamma, lay.bn2_beta, lay.bn2_state, mode))
+        z = affine_relu([batchnorm(z, lay.bn2_state, mode)], lay.bn2_gamma, lay.bn2_beta)
         return conv2d(z, lay.conv3, stride=1, padding="same")
 
     def head_tail(self, pre_pool: Tensor, coupling_trace: dict | None = None) -> Tensor:

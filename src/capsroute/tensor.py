@@ -289,18 +289,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return record(out, (a,), lambda g: (g.transpose(inv),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        pieces = np.split(g, splits, axis=axis)
-        return tuple(p if t.requires_grad else None for p, t in zip(pieces, tensors))
-
-    return record(out, tuple(tensors), vjp)
-
-
 # ---------------------------------------------------------------------------
 # Linear-algebra ops
 # ---------------------------------------------------------------------------

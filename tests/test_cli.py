@@ -447,6 +447,68 @@ class TestGradcam:
         assert rc == 2
 
 
+def _per_reader_layout(tensors: dict) -> dict:
+    """The state layout of checkpoints written while every BN normalized its
+    own input: each dense reader holds the running stats of the channels it
+    reads (`*.bn1.running_*`, `head.bn.running_*`), none of them `dense.*`."""
+    out = dict(tensors)
+    for stat in ("running_mean", "running_var"):
+        dense = out.pop(f"dense.{stat}")
+        for name, gamma in tensors.items():
+            if name.endswith(".bn1.gamma") or name == "head.bn.gamma":
+                out[name.replace("gamma", stat)] = dense[: gamma.size].copy()
+    return out
+
+
+class TestCheckpointLayout:
+    def test_state_holds_one_copy_per_dense_channel(self, trained):
+        tensors = load_checkpoint(trained).tensors
+        assert not any(".bn1.running" in k or k.startswith("head.bn.running") for k in tensors)
+        assert tensors["dense.running_mean"].shape == tensors["head.bn.gamma"].shape == (12,)
+        assert tensors["block0.layer0.bn2.running_var"].shape == (8,)
+
+    def test_save_load_round_trip(self, dataset, trained, tmp_path):
+        net, cfg, baseline = cli._restore_network(load_checkpoint(trained))
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, cli._checkpoint_from(net, cfg, baseline, cli.AdamState(), np.random.default_rng(0)))
+        restored, _, _ = cli._restore_network(load_checkpoint(again))
+        want = net.state_arrays()
+        got = restored.state_arrays()
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name]), name
+        images = np.random.default_rng(1).standard_normal((3, 1, 32, 32))
+        assert np.array_equal(restored.predict(images), net.predict(images))
+
+    def test_per_reader_layout_loads(self, trained, tmp_path):
+        ck = load_checkpoint(trained)
+        ck.tensors = _per_reader_layout(ck.tensors)
+        assert "block0.layer0.bn1.running_mean" in ck.tensors and "head.bn.running_var" in ck.tensors
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(old, ck)
+        net, _, _ = cli._restore_network(load_checkpoint(old))
+        ref, _, _ = cli._restore_network(load_checkpoint(trained))
+        for name, arr in ref.state_arrays().items():
+            assert np.array_equal(net.state_arrays()[name], arr), name
+        images = np.random.default_rng(2).standard_normal((3, 1, 32, 32))
+        assert np.array_equal(net.predict(images), ref.predict(images))
+
+    @pytest.mark.parametrize("name", ["head.bn.running_mean", "block0.layer0.bn1.running_var"])
+    def test_disagreeing_reader_copy_rejected(self, dataset, trained, tmp_path, capsys, name):
+        ck = load_checkpoint(trained)
+        ck.tensors = _per_reader_layout(ck.tensors)
+        ck.tensors[name][1] += 1e-3  # channel 1's stats no longer match between readers
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, ck)
+        with pytest.raises(DataError, match="disagrees with the first reader"):
+            cli._restore_network(load_checkpoint(bad))
+        report = tmp_path / "r.csv"
+        args = ["eval", "--manifest", str(dataset / "test.csv"), "--images-root", str(dataset)]
+        assert main([*args, "--ckpt", str(bad), "--report", str(report)]) == 2
+        assert "disagrees" in capsys.readouterr().err
+        assert not any(tmp_path.glob("r.csv*"))
+
+
 class TestBench:
     def test_csv_shape_and_ordering(self, capsys, tmp_path):
         out = tmp_path / "bench.csv"

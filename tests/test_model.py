@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from capsroute.conv import conv2d, pool2d
+from capsroute.conv import BatchNormState, batchnorm, conv2d, pool2d
 from capsroute.model import (
     ConfigError,
     NetworkConfig,
@@ -13,7 +13,7 @@ from capsroute.model import (
     shape_trace,
 )
 from capsroute.routing import frozen_routing
-from capsroute.tensor import Tape, Tensor, backward, concat, finite_diff_check
+from capsroute.tensor import Tape, Tensor, backward, finite_diff_check
 
 
 def desk_config(**over):
@@ -281,17 +281,21 @@ class TestForward:
 
 class TestCompositeLayer:
     def test_dense_concatenation_width(self):
+        # each layer reads every normalized group so far and adds
+        # growth_rate maps, whose running stats sit after the earlier ones
         cfg = desk_config(layers_per_block=3)
         net = build_network(cfg, seed=11)
         rng = np.random.default_rng(12)
-        x = Tensor(rng.standard_normal((2, 8, 8, 8)))
-        feats = x
+        parts = [batchnorm(Tensor(rng.standard_normal((2, 8, 8, 8))), net.stem_norm_state, "train")]
         for l, lay in enumerate(net.blocks[0]):
-            new = net.composite_layer(feats, lay, mode="train")
+            new = net.composite_layer(parts, lay, mode="train")
             assert new.shape == (2, 4, 8, 8)
-            feats = concat([feats, new], axis=1)
-            assert feats.shape[1] == 8 + (l + 1) * 4
+            assert lay.bn1_gamma.size == sum(p.shape[1] for p in parts) == 8 + l * 4
+            parts.append(batchnorm(new, lay.norm_state, "train"))
+            assert np.shares_memory(lay.norm_state.running_mean, net.dense_state.running_mean)
+        assert net.dense_state.running_mean.size == net.head_bn_gamma.size == 8 + 3 * 4
         _, taps = net.forward(rng.standard_normal((2, 1, 64, 64)))
+        assert taps["pre_pool_activations"].shape == (2, cfg.head_channels, 8, 8)
 
     def test_baseline_equals_routed_times_j_at_r1(self):
         # uniform couplings at r=1 make the routed 1x1 equal the plain
@@ -331,7 +335,7 @@ class TestCompositeLayer:
         probe = Tensor(rng.standard_normal((2, 4, 6, 6)))
 
         def f(t):
-            out = net.composite_layer(t, lay, mode="train")
+            out = net.composite_layer([batchnorm(t, BatchNormState.fresh(8), "train")], lay, mode="train")
             return (out * probe).sum()
 
         with frozen_routing():
@@ -380,6 +384,40 @@ class TestEndToEndGradient:
         with frozen_routing():
             for name, p in net.parameters().items():
                 err = finite_diff_check(lambda _t: loss(), p, max_coords=12, seed=27)
+                assert err <= 1e-3, f"{name}: {err}"
+
+
+class TestSharedNormalization:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_readers_across_blocks_finite_difference(self, mode):
+        # two blocks of two layers: the stem's maps have five readers (every
+        # layer's first BN, across the block boundary, and the head BN), each
+        # later group fewer; the tape adds their gradients in x_hat space
+        net = build_network(tiny_config(n_dense_blocks=2, layers_per_block=2), seed=31)
+        rng = np.random.default_rng(32)
+        for st in net.bn_states().values():
+            st.running_mean[...] = rng.standard_normal(st.running_mean.shape)
+            st.running_var[...] = rng.random(st.running_var.shape) + 0.5
+        params = net.parameters()
+        for name, p in params.items():
+            if name.endswith("gamma"):
+                p.data = 1.0 + 0.3 * rng.standard_normal(p.shape)
+            elif name.endswith("beta"):
+                p.data = 0.3 * rng.standard_normal(p.shape)
+        x = Tensor(rng.standard_normal((2, 8, 4, 4)))
+        probe = Tensor(rng.standard_normal((2, 2)))
+
+        def loss(t):
+            return (net.head_tail(net.dense_head(t, mode)) * probe).sum()
+
+        checked = {name: p for name, p in params.items() if not name.startswith("stem.")}
+        assert sum(name.endswith("bn1.gamma") for name in checked) == 4
+        # the end-to-end bound of criterion 3: in eval mode some coordinates'
+        # gradients are ~1e-11 against a loss of ~1e-2, at the noise floor
+        with frozen_routing():
+            assert finite_diff_check(loss, x, max_coords=40, seed=33) <= 1e-3
+            for name, p in checked.items():
+                err = finite_diff_check(lambda _t: loss(x), p, max_coords=16, seed=34)
                 assert err <= 1e-3, f"{name}: {err}"
 
 

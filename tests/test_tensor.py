@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from capsroute import conv
-from capsroute.conv import BatchNormState, batchnorm, conv2d, conv_maxpool, pool2d
+from capsroute.conv import BatchNormState, affine_relu, batchnorm, conv2d, conv_maxpool, pool2d
 from capsroute.model import NetworkConfig, build_network
 from capsroute.tensor import (
     AutodiffError,
@@ -562,26 +562,27 @@ class TestConvMaxpool:
 
 
 class TestBatchNorm:
+    # `batchnorm` gives x_hat; a reader applies gamma, beta and the ReLU in
+    # `affine_relu`. Together they are one BN-ReLU.
+
     def test_already_normalized_passthrough(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 3, 4, 4))
         x -= x.mean(axis=(0, 2, 3), keepdims=True)
         x /= x.std(axis=(0, 2, 3), keepdims=True)
-        gamma = Tensor(np.ones(3))
-        beta = Tensor(np.zeros(3))
-        y = batchnorm(Tensor(x), gamma, beta, BatchNormState.fresh(3), mode="train")
-        np.testing.assert_allclose(y.data, x, atol=1e-4)
+        xhat = batchnorm(Tensor(x), BatchNormState.fresh(3), mode="train")
+        np.testing.assert_allclose(xhat.data, x, atol=1e-4)
 
     def test_gamma_zero_beta_five(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((4, 2, 3, 3)))
-        y = batchnorm(x, Tensor(np.zeros(2)), Tensor(np.full(2, 5.0)), BatchNormState.fresh(2))
+        y = affine_relu([batchnorm(x, BatchNormState.fresh(2))], Tensor(np.zeros(2)), Tensor(np.full(2, 5.0)))
         np.testing.assert_array_equal(y.data, np.full_like(y.data, 5.0))
 
     def test_train_mode_statistics(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((16, 4, 8, 8)) * 3 + 1)
-        y = batchnorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), BatchNormState.fresh(4), mode="train")
+        y = batchnorm(x, BatchNormState.fresh(4), mode="train")
         mean = y.data.mean(axis=(0, 2, 3))
         var = y.data.var(axis=(0, 2, 3))
         np.testing.assert_allclose(mean, 0.0, atol=1e-6)
@@ -591,10 +592,10 @@ class TestBatchNorm:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((8, 2, 4, 4)) + 2.0
         state = BatchNormState.fresh(2)
-        batchnorm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, mode="train")
+        batchnorm(Tensor(x), state, mode="train")
         expect_mean = 0.9 * 0.0 + 0.1 * x.mean(axis=(0, 2, 3))
         np.testing.assert_allclose(state.running_mean, expect_mean, rtol=1e-12)
-        y = batchnorm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, mode="eval")
+        y = batchnorm(Tensor(x), state, mode="eval")
         expect = (x - state.running_mean.reshape(1, 2, 1, 1)) / np.sqrt(
             state.running_var.reshape(1, 2, 1, 1) + 1e-5
         )
@@ -602,16 +603,14 @@ class TestBatchNorm:
 
     def test_empty_batch_raises(self):
         with pytest.raises(ShapeError):
-            batchnorm(
-                Tensor(np.zeros((0, 2, 3, 3))), Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormState.fresh(2)
-            )
+            batchnorm(Tensor(np.zeros((0, 2, 3, 3))), BatchNormState.fresh(2))
 
     def test_no_spatial_cells_raises_and_leaves_state(self):
         state = BatchNormState.fresh(1)
         state.running_mean[:] = 0.25
         mean, var = state.running_mean.copy(), state.running_var.copy()
         with pytest.raises(ShapeError):
-            batchnorm(Tensor(np.zeros((2, 1, 0, 0))), Tensor(np.ones(1)), Tensor(np.zeros(1)), state, mode="train")
+            batchnorm(Tensor(np.zeros((2, 1, 0, 0))), state, mode="train")
         np.testing.assert_array_equal(state.running_mean, mean)
         np.testing.assert_array_equal(state.running_var, var)
 
@@ -619,8 +618,9 @@ class TestBatchNorm:
     @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("shape", [(16, 48, 32, 32), (16, 32, 32, 32), (3, 5, 7, 9), (2, 3, 5, 1), (1, 4, 1, 1)])
     def test_matches_f64_reference(self, shape, dtype, bound, mode):
-        # output, all three gradients and the running stats against the
-        # textbook formulas in f64, each relative to its largest entry
+        # BN-ReLU as the op pair: output, all three gradients and the running
+        # stats against the textbook formulas in f64, each relative to its
+        # largest entry
         B, C, H, W = shape
         rng = np.random.default_rng(B * C + H * W)
         x = Tensor((rng.standard_normal(shape) * 3 + 1).astype(dtype), requires_grad=True)
@@ -632,10 +632,13 @@ class TestBatchNorm:
         state.running_var = (rng.random(C) + 0.5).astype(dtype)
         rm0, rv0 = state.running_mean.astype(np.float64), state.running_var.astype(np.float64)
         with Tape() as tape:
-            y = batchnorm(x, gamma, beta, state, mode=mode)
+            y = affine_relu([batchnorm(x, state, mode=mode)], gamma, beta)
             backward(tape, (y * Tensor(g)).sum())
 
-        x64, gam, bet, g64 = (a.astype(np.float64) for a in (x.data, gamma.data, beta.data, g))
+        x64, gam, bet = (a.astype(np.float64) for a in (x.data, gamma.data, beta.data))
+        # the ReLU mask is the op's own: an f32 pre-activation within
+        # rounding of 0 may take either side
+        g64 = g.astype(np.float64) * (y.data > 0)
         n = B * H * W
         if mode == "train":
             mu, var = x64.mean(axis=(0, 2, 3)), x64.var(axis=(0, 2, 3))
@@ -651,7 +654,7 @@ class TestBatchNorm:
         if mode == "train":
             gx = gx - xhat * (gam * inv_std * ggam / n)[c] - (gam * inv_std * gbet / n)[c]
         expect = {
-            "out": (y.data, xhat * gam[c] + bet[c]),
+            "out": (y.data, np.maximum(xhat * gam[c] + bet[c], 0.0)),
             "gx": (x.grad, gx),
             "ggamma": (gamma.grad, ggam),
             "gbeta": (beta.grad, gbet),
@@ -662,6 +665,53 @@ class TestBatchNorm:
             assert got.dtype == dtype, name
             scale = np.abs(ref).max() or 1.0
             assert np.abs(got - ref).max() <= bound * scale, name
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_readers_of_shared_groups_match_per_reader_bn(self, mode):
+        # two readers of the groups (a, b), one of a alone: x_hat is formed
+        # once per group into one buffer, and the gradients of the raw maps
+        # equal those of a BN-ReLU per reader over the concatenated raw maps
+        rng = np.random.default_rng(9)
+        raw = [rng.standard_normal((3, c, 5, 4)) * 2 + 1 for c in (2, 3)]
+        gammas = [rng.standard_normal(c) + 1 for c in (2, 5, 5)]
+        betas = [rng.standard_normal(c) for c in (2, 5, 5)]
+        probes = [rng.standard_normal((3, c, 5, 4)) for c in (2, 5, 5)]
+        mean, var = rng.standard_normal(5), rng.random(5) + 0.5
+
+        def run(shared):
+            xs = [Tensor(r.copy(), requires_grad=True) for r in raw]
+            ps = [Tensor(v.copy(), requires_grad=True) for v in gammas + betas]
+            state = BatchNormState(mean.copy(), var.copy())
+            with Tape() as tape:
+                if shared:
+                    buf = np.empty((3, 5, 5, 4))
+                    a = batchnorm(xs[0], BatchNormState(state.running_mean[:2], state.running_var[:2]), mode, out=buf[:, :2])
+                    b = batchnorm(xs[1], BatchNormState(state.running_mean[2:], state.running_var[2:]), mode, out=buf[:, 2:])
+                    ys = [affine_relu([a], ps[0], ps[3]), affine_relu([a, b], ps[1], ps[4], buf), affine_relu([a, b], ps[2], ps[5])]
+                else:
+                    both = np.concatenate([x.data for x in xs], axis=1)
+                    cat = Tensor(both, requires_grad=True)
+                    ys = [
+                        affine_relu([batchnorm(xs[0], BatchNormState(mean[:2].copy(), var[:2].copy()), mode)], ps[0], ps[3]),
+                        affine_relu([batchnorm(cat, BatchNormState(mean.copy(), var.copy()), mode)], ps[1], ps[4]),
+                        affine_relu([batchnorm(cat, BatchNormState(mean.copy(), var.copy()), mode)], ps[2], ps[5]),
+                    ]
+                backward(tape, sum(((y * Tensor(p)).sum() for y, p in zip(ys, probes)), Tensor(np.zeros(()))))
+            grads = [p.grad for p in ps]
+            if shared:
+                return [y.data for y in ys], [x.grad for x in xs], grads, state
+            gx0 = xs[0].grad + cat.grad[:, :2]
+            return [y.data for y in ys], [gx0, cat.grad[:, 2:]], grads, None
+
+        ys, gxs, gps, state = run(True)
+        ref_ys, ref_gxs, ref_gps, _ = run(False)
+        for got, ref in zip(ys, ref_ys):
+            np.testing.assert_array_equal(got, ref)
+        for got, ref in zip(gxs + gps, ref_gxs + ref_gps):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        if mode == "train":
+            both = np.concatenate(raw, axis=1)
+            np.testing.assert_allclose(state.running_mean, 0.9 * mean + 0.1 * both.mean(axis=(0, 2, 3)), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
