@@ -200,6 +200,8 @@ def _num(x) -> str:
 def _load_split(manifest_path, images_root, input_size: int, n_classes: int):
     """Images in [0, 1] at network size, (N, C) labels, manifest entries."""
     entries = load_manifest(manifest_path)
+    if not entries:
+        raise DataError(f"{manifest_path}: the manifest lists no images")
     root = Path(images_root)
     images, labels = [], np.zeros((len(entries), n_classes))
     resized = 0
@@ -234,45 +236,15 @@ def _checkpoint_from(net: Network, cfg: RunConfig, baseline: bool, adam: AdamSta
     return Checkpoint(config=config, tensors=tensors, rng_state=rng_state_token(rng))
 
 
-def _merge_reader_stats(state: dict) -> dict:
-    """Fold per-reader BN running stats into one copy per dense channel.
-
-    Checkpoints written while every BN normalized its input itself hold the
-    dense channels' running stats once per reader: each layer's
-    `*.bn1.running_*` over the channels before it and `head.bn.running_*`
-    over all. Each channel's stats come from the first reader of it, and a
-    later copy that disagrees rejects the checkpoint. Other layouts pass
-    through unchanged.
-    """
-    for stat in ("running_mean", "running_var"):
-        names = [k for k in state if k.endswith(f".bn1.{stat}") or k == f"head.bn.{stat}"]
-        if not names:
-            continue
-        if f"dense.{stat}" in state:
-            raise DataError(f"checkpoint holds both dense.{stat} and per-reader copies ({names[0]})")
-        if any(state[k].ndim != 1 for k in names):
-            raise DataError(f"checkpoint: per-reader {stat} arrays must be 1-D")
-        names.sort(key=lambda k: state[k].size)  # each reader reads every channel an earlier one does
-        pieces, width = [], 0
-        for k in names:
-            pieces.append(state[k][width:])
-            width = max(width, state[k].size)
-        dense = np.concatenate(pieces)
-        for k in names:
-            if not np.array_equal(state[k], dense[: state[k].size], equal_nan=True):
-                raise DataError(f"checkpoint: {k} disagrees with the first reader of its channels")
-            del state[k]
-        state[f"dense.{stat}"] = dense
-    return state
-
-
 def _restore_network(ckpt: Checkpoint):
     """Rebuild the architecture from the config echo and load its state.
 
     `train` echoes every registry key and `baseline`, so a missing key or a
     `baseline` other than 0 or 1 rejects the checkpoint instead of loading
-    a default model. Per-reader BN stats of older checkpoints are merged
-    into one copy per channel (`_merge_reader_stats`).
+    a default model. The state must name exactly the arrays of
+    `Network.state_arrays`, dense running stats as one `dense.running_*`
+    per channel; anything else raises `ConfigError` before the network is
+    written. Adam state is not read.
     """
     echoed = dict(ckpt.config)
     missing = [k for k in (*CONFIG_REGISTRY, "baseline") if k not in echoed]
@@ -287,7 +259,7 @@ def _restore_network(ckpt: Checkpoint):
         raise DataError(f"checkpoint config echo rejected: {e}")
     net = _build_from_config(cfg, seed=0, baseline=baseline)
     state = {k: v for k, v in ckpt.tensors.items() if not k.startswith("adam.")}
-    net.load_state_arrays(_merge_reader_stats(state))
+    net.load_state_arrays(state)
     return net, cfg, baseline
 
 

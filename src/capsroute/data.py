@@ -448,14 +448,14 @@ def load_checkpoint(path) -> Checkpoint:
                 raise DataError(f"{path}: rng line appears twice")
             ckpt.rng_state = line[len("rng ") :]
         elif line.startswith("tensor "):
-            try:
-                name, tag, dims, offset, nbytes = line[len("tensor ") :].split(" ")
-                shape = () if dims == "scalar" else tuple(int(d) for d in dims.split("x"))
-                offset, nbytes = int(offset), int(nbytes)
-            except ValueError:
+            fields = line[len("tensor ") :].split(" ")
+            if len(fields) != 5:
                 raise DataError(f"{path}: malformed tensor line {line!r}")
-            if min((offset, nbytes) + shape) < 0:
-                raise DataError(f"{path}: tensor {name} has a negative offset, byte count or extent")
+            name, tag, dims, offset, nbytes = fields
+            shape = () if dims == "scalar" else tuple(_natural(d) for d in dims.split("x"))
+            offset, nbytes = _natural(offset), _natural(nbytes)
+            if None in (offset, nbytes, *shape):
+                raise DataError(f"{path}: malformed tensor line {line!r}")
             if name in directory:
                 raise DataError(f"{path}: tensor {name} appears twice")
             directory[name] = (tag, shape, offset, nbytes)

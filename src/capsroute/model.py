@@ -118,7 +118,6 @@ class _CompositeLayer:
     bn2_beta: Tensor
     bn2_state: BatchNormState
     conv3: Tensor
-    norm_state: BatchNormState  # running stats of the maps it adds: a view into Network.dense_state
 
 
 def shape_trace(config: NetworkConfig) -> list[tuple[str, tuple[int, int, int]]]:
@@ -187,7 +186,6 @@ class Network:
 
         n_dense = c2 + config.n_dense_blocks * config.layers_per_block * k
         self.dense_state = BatchNormState.fresh(n_dense, dtype=dt)
-        self.stem_norm_state = self._dense_slice(0, c2)
         self.blocks: list[list[_CompositeLayer]] = []
         ch = c2
         for b in range(config.n_dense_blocks):
@@ -204,7 +202,6 @@ class Network:
                         bn2_beta=Tensor(np.zeros(bott, dtype=dt), requires_grad=True),
                         bn2_state=BatchNormState.fresh(bott, dtype=dt),
                         conv3=param(k, bott, 3, 3),
-                        norm_state=self._dense_slice(ch, ch + k),
                     )
                 )
                 ch += k
@@ -217,10 +214,6 @@ class Network:
         grid = self.trace[-3][1][1]  # side of the pooled capsule grid
         n_caps = grid * grid * (config.head_channels // PRIMARY_CAPS_DIM)
         self.fc = FcCapsuleParams(param(n_caps, config.n_classes, PRIMARY_CAPS_DIM, config.caps_dim_class), iters)
-
-    def _dense_slice(self, lo: int, hi: int) -> BatchNormState:
-        st = self.dense_state
-        return BatchNormState(st.running_mean[lo:hi], st.running_var[lo:hi])
 
     # -- parameter/state registry -------------------------------------------
 
@@ -258,26 +251,21 @@ class Network:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore buffers saved by `state_arrays`; missing or extra names
+        """Restore buffers saved by `state_arrays`, all or nothing: every
 
-        are an error so silently-partial restores cannot happen.
+        name and shape is checked before any buffer is written, and missing
+        or extra names are an error. Each buffer is overwritten in place.
         """
         expect = self.state_arrays()
         missing = sorted(set(expect) - set(arrays))
         extra = sorted(set(arrays) - set(expect))
         if missing or extra:
             raise ConfigError(f"state mismatch: missing {missing}, unexpected {extra}")
-        for name, p in self.parameters().items():
-            src = arrays[name]
-            if src.shape != p.data.shape:
-                raise ConfigError(f"{name}: saved shape {src.shape} != built shape {p.data.shape}")
-            p.data = src.astype(p.data.dtype, copy=True)
-        for name, st in self.bn_states().items():
-            for stat in ("running_mean", "running_var"):
-                dest, src = getattr(st, stat), arrays[f"{name}.{stat}"]
-                if src.shape != dest.shape:
-                    raise ConfigError(f"{name}.{stat}: saved shape {src.shape} != built shape {dest.shape}")
-                dest[...] = src  # in place: the layers' slices view these arrays
+        for name, dest in expect.items():
+            if arrays[name].shape != dest.shape:
+                raise ConfigError(f"{name}: saved shape {arrays[name].shape} != built shape {dest.shape}")
+        for name, dest in expect.items():
+            dest[...] = arrays[name]
 
     def predict(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Eval-mode class scores for a stack of prepared (N, 1, H, W) or
@@ -323,16 +311,24 @@ class Network:
         """Dense blocks, head BN-ReLU and 9x9 conv on the stem's output x.
 
         Each channel group (the stem's maps, then each layer's new maps) is
-        normalized once into one x_hat buffer; every layer reads the prefix
-        written so far, and the head reads all of it.
+        normalized once into one x_hat buffer, its running stats held in
+        `dense_state` at the same channel offsets; every layer reads the
+        prefix written so far, and the head reads all of it.
         """
         B, c, H, W = x.shape
-        xhat = np.empty((B, self.dense_state.running_mean.size, H, W), dtype=x.dtype)
-        parts = [batchnorm(x, self.stem_norm_state, mode, out=xhat[:, :c])]
+        st = self.dense_state
+        xhat = np.empty((B, st.running_mean.size, H, W), dtype=x.dtype)
+
+        def join(maps: Tensor, lo: int) -> Tensor:
+            hi = lo + maps.shape[1]
+            group = BatchNormState(st.running_mean[lo:hi], st.running_var[lo:hi])
+            return batchnorm(maps, group, mode, out=xhat[:, lo:hi])
+
+        parts = [join(x, 0)]
         for layers in self.blocks:
             for lay in layers:
                 new = self.composite_layer(parts, lay, mode, coupling_trace, xhat[:, :c])
-                parts.append(batchnorm(new, lay.norm_state, mode, out=xhat[:, c : c + new.shape[1]]))
+                parts.append(join(new, c))
                 c += new.shape[1]
         y = affine_relu(parts, self.head_bn_gamma, self.head_bn_beta, xhat)
         return conv2d(y, self.head_conv, stride=1, padding="same")

@@ -294,8 +294,12 @@ def test_c6_training_directional(desk_data, trained_routed):
 
 
 def test_c7_kernel_cost_claim():
-    res = bench_routing(spatial=4096, in_maps=32, out_maps=32, iters=3, repeat=15)
-    abs_ok = res["kernel"] <= res["naive"] and res["kernel"] <= 4 * res["plain"]
+    # kernel/naive and kernel/plain from each round of back-to-back calls,
+    # then the median of those ratios: load lands on both sides of a ratio
+    rounds = [bench_routing(spatial=4096, in_maps=32, out_maps=32, iters=3, repeat=1) for _ in range(15)]
+    vs_naive = float(np.median([r["kernel"] / r["naive"] for r in rounds]))
+    vs_plain = float(np.median([r["kernel"] / r["plain"] for r in rounds]))
+    abs_ok = vs_naive <= 1.0 and vs_plain <= 4.0
 
     # per-iteration increment versus spatial size: (t(r=5) - t(r=2)) / 3;
     # r=2 and r=5 both build the Gram matrix, while r=1 skips it, so this
@@ -319,8 +323,8 @@ def test_c7_kernel_cost_claim():
     check(
         "criterion 7: kernel-trick cost is flat in S and beats naive routing",
         abs_ok and scaling_ok,
-        f"S=4096: kernel {res['kernel']/1e6:.2f}ms <= naive {res['naive']/1e6:.2f}ms, "
-        f"<= 4x plain {res['plain']/1e6:.2f}ms; naive per-iter growth x{naive_growth:.1f} "
+        f"S=4096, median per-round ratios: kernel/naive {vs_naive:.2f} (needs <= 1), "
+        f"kernel/plain {vs_plain:.2f} (needs <= 4); naive per-iter growth x{naive_growth:.1f} "
         f"(needs >= 4), kernel slope {kernel_slope/1e3:.0f}us vs naive {naive_slope/1e3:.0f}us",
     )
 

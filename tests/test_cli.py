@@ -9,6 +9,7 @@ from capsroute import routing
 from capsroute.cli import RunConfig, bench_routing, main
 from capsroute.data import DataError, load_checkpoint, load_manifest, load_pgm, save_checkpoint
 from capsroute.evaluation import auc
+from capsroute.model import ConfigError
 
 
 TINY = [
@@ -389,6 +390,20 @@ class TestEval:
         assert path in err and "9 out of range" in err
         assert not any(tmp_path.glob("r.csv*"))
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_manifest_exit_2_without_output(self, command, dataset, trained, tmp_path, capsys):
+        manifest = tmp_path / "empty.csv"
+        manifest.write_text("path,labels,boxes\n")
+        out = tmp_path / "out"
+        args = [command, "--manifest", str(manifest), "--images-root", str(dataset)]
+        if command == "train":
+            args = _tiny_args([*args, "--out", str(out / "x.ckpt")])
+        else:
+            args += ["--ckpt", str(trained), "--report", str(out / "r.csv")]
+        assert main(args) == 2
+        assert "empty.csv: the manifest lists no images" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv"]
+
 
 class TestGradcam:
     def test_heatmap_and_box_outputs(self, dataset, trained, tmp_path):
@@ -480,33 +495,23 @@ class TestCheckpointLayout:
         images = np.random.default_rng(1).standard_normal((3, 1, 32, 32))
         assert np.array_equal(restored.predict(images), net.predict(images))
 
-    def test_per_reader_layout_loads(self, trained, tmp_path):
+    def test_per_reader_layout_rejected(self, dataset, trained, tmp_path, capsys):
         ck = load_checkpoint(trained)
         ck.tensors = _per_reader_layout(ck.tensors)
         assert "block0.layer0.bn1.running_mean" in ck.tensors and "head.bn.running_var" in ck.tensors
         old = tmp_path / "old.ckpt"
         save_checkpoint(old, ck)
-        net, _, _ = cli._restore_network(load_checkpoint(old))
-        ref, _, _ = cli._restore_network(load_checkpoint(trained))
-        for name, arr in ref.state_arrays().items():
-            assert np.array_equal(net.state_arrays()[name], arr), name
-        images = np.random.default_rng(2).standard_normal((3, 1, 32, 32))
-        assert np.array_equal(net.predict(images), ref.predict(images))
-
-    @pytest.mark.parametrize("name", ["head.bn.running_mean", "block0.layer0.bn1.running_var"])
-    def test_disagreeing_reader_copy_rejected(self, dataset, trained, tmp_path, capsys, name):
-        ck = load_checkpoint(trained)
-        ck.tensors = _per_reader_layout(ck.tensors)
-        ck.tensors[name][1] += 1e-3  # channel 1's stats no longer match between readers
-        bad = tmp_path / "bad.ckpt"
-        save_checkpoint(bad, ck)
-        with pytest.raises(DataError, match="disagrees with the first reader"):
-            cli._restore_network(load_checkpoint(bad))
-        report = tmp_path / "r.csv"
+        with pytest.raises(ConfigError, match=r"missing \['dense.running_mean', 'dense.running_var'\]"):
+            cli._restore_network(load_checkpoint(old))
+        entry = load_manifest(dataset / "test.csv")[0]
+        report, heat = tmp_path / "r.csv", tmp_path / "h.pgm"
         args = ["eval", "--manifest", str(dataset / "test.csv"), "--images-root", str(dataset)]
-        assert main([*args, "--ckpt", str(bad), "--report", str(report)]) == 2
-        assert "disagrees" in capsys.readouterr().err
-        assert not any(tmp_path.glob("r.csv*"))
+        assert main([*args, "--ckpt", str(old), "--report", str(report)]) == 2
+        assert "dense.running_mean" in capsys.readouterr().err
+        args = ["gradcam", "--ckpt", str(old), "--image", str(dataset / entry.path), "--class", "0"]
+        assert main([*args, "--out", str(heat)]) == 2
+        assert "dense.running_mean" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.ckpt"]
 
 
 class TestBench:

@@ -390,6 +390,10 @@ class TestCheckpoint:
             pytest.param("tensor a f64 4 0 32", "tensor a f32 4294967296x4294967296 0 0", id="extent-wraps-to-0"),
             pytest.param("tensor a f64 4 0 32", "tensor a f64 9223372036854775807x2 0 32", id="extent-wraps-negative"),
             pytest.param("tensor a f64 4 0 32", "tensor a f64 0x9223372036854775807 0 0", id="empty-extent-too-big"),
+            # `int` would accept these; the directory takes plain digits only
+            pytest.param("tensor a f64 4 0 32", "tensor a f64 +4 0 32", id="plus-sign"),
+            pytest.param("tensor a f64 4 0 32", "tensor a f64 4 0 3_2", id="underscore"),
+            pytest.param("tensor a f64 4 0 32", "tensor a f64 4 -0 32", id="minus-zero"),
             # more digits than `int` converts
             pytest.param("CAPS 1", "CAPS " + "1" * 5000, id="version-digits"),
             pytest.param("data 48", "data " + "4" * 5000, id="data-digits"),

@@ -222,6 +222,30 @@ class TestBuild:
             assert net.fc.iterations == iters
 
 
+class TestLoadStateArrays:
+    def test_load_writes_every_array_in_place(self):
+        net = build_network(tiny_config(), seed=1)
+        before = net.state_arrays()
+        saved = {name: arr + 1.0 for name, arr in before.items()}
+        net.load_state_arrays(saved)
+        after = net.state_arrays()
+        for name, arr in before.items():
+            assert after[name] is arr, name
+            np.testing.assert_array_equal(arr, saved[name])
+
+    @pytest.mark.parametrize("bad", ["head.conv", "dense.running_var"])
+    def test_bad_shape_leaves_every_array_unchanged(self, bad):
+        net = build_network(tiny_config(), seed=1)
+        before = {name: arr.copy() for name, arr in net.state_arrays().items()}
+        saved = {name: arr + 1.0 for name, arr in before.items()}
+        saved[bad] = saved[bad][:-1]
+        with pytest.raises(ConfigError, match=bad):
+            net.load_state_arrays(saved)
+        after = net.state_arrays()
+        for name, arr in before.items():
+            np.testing.assert_array_equal(after[name], arr, err_msg=name)
+
+
 class TestPrimaryCapsules:
     def test_64_channels_on_8x8_grid(self):
         x = Tensor(np.zeros((2, 64, 8, 8)))
@@ -282,20 +306,31 @@ class TestForward:
 class TestCompositeLayer:
     def test_dense_concatenation_width(self):
         # each layer reads every normalized group so far and adds
-        # growth_rate maps, whose running stats sit after the earlier ones
+        # growth_rate maps, whose running stats sit in net.dense_state at
+        # the offsets after the earlier groups'
         cfg = desk_config(layers_per_block=3)
         net = build_network(cfg, seed=11)
-        rng = np.random.default_rng(12)
-        parts = [batchnorm(Tensor(rng.standard_normal((2, 8, 8, 8))), net.stem_norm_state, "train")]
-        for l, lay in enumerate(net.blocks[0]):
-            new = net.composite_layer(parts, lay, mode="train")
+        assert net.dense_state.running_mean.size == net.head_bn_gamma.size == 8 + 3 * 4
+        x = np.random.default_rng(12).standard_normal((2, 1, 64, 64))
+        _, taps = net.forward(x)
+        assert taps["pre_pool_activations"].shape == (2, cfg.head_channels, 8, 8)
+
+        # replay the same forward group by group, each group with its own stats
+        ref = build_network(cfg, seed=11)
+        group = BatchNormState.fresh(8)
+        parts = [batchnorm(ref.stem(Tensor(x)), group, "train")]
+        groups = [(0, group)]
+        for l, lay in enumerate(ref.blocks[0]):
+            new = ref.composite_layer(parts, lay, mode="train")
             assert new.shape == (2, 4, 8, 8)
             assert lay.bn1_gamma.size == sum(p.shape[1] for p in parts) == 8 + l * 4
-            parts.append(batchnorm(new, lay.norm_state, "train"))
-            assert np.shares_memory(lay.norm_state.running_mean, net.dense_state.running_mean)
-        assert net.dense_state.running_mean.size == net.head_bn_gamma.size == 8 + 3 * 4
-        _, taps = net.forward(rng.standard_normal((2, 1, 64, 64)))
-        assert taps["pre_pool_activations"].shape == (2, cfg.head_channels, 8, 8)
+            group = BatchNormState.fresh(4)
+            parts.append(batchnorm(new, group, "train"))
+            groups.append((8 + l * 4, group))
+        for lo, group in groups:
+            for stat in ("running_mean", "running_var"):
+                want = getattr(group, stat)
+                np.testing.assert_array_equal(getattr(net.dense_state, stat)[lo : lo + want.size], want)
 
     def test_baseline_equals_routed_times_j_at_r1(self):
         # uniform couplings at r=1 make the routed 1x1 equal the plain
