@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import BatchNormState, affine_relu, batchnorm, conv2d, conv_maxpool, pool2d
+from .conv import BatchNormState, affine_relu, batchnorm, conv2d, conv_avgpool, conv_maxpool, pool2d
 from .evaluation import BBox, auc, iobb
 from .model import NetworkConfig, build_network
 from .routing import (
@@ -199,6 +199,15 @@ def _op_checks():
     tap_img = rng.standard_normal((1, 4, 32, 32))
     yield "conv2d/taps", lambda: finite_diff_check(
         lambda t: wsq(conv2d(Tensor(tap_img), t, padding="same")), Tensor(rng.standard_normal((1, 4, 3, 3)))
+    )
+    # the head's 9x9 and 4/4 pool on a 6x10 map: the space-to-depth copy's
+    # last cells are partly past the edge
+    head_img, head_ker = rng.standard_normal((2, 3, 6, 10)), rng.standard_normal((2, 3, 9, 9))
+    yield "conv_avgpool/input", lambda: finite_diff_check(
+        lambda t: wsq(conv_avgpool(t, Tensor(head_ker), 4)), Tensor(head_img.copy())
+    )
+    yield "conv_avgpool/kernel", lambda: finite_diff_check(
+        lambda t: wsq(conv_avgpool(Tensor(head_img), t, 4)), Tensor(head_ker.copy())
     )
 
 

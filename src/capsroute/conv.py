@@ -1,24 +1,20 @@
 """Convolution, pooling, and batch normalization on BCHW tensors.
 
-`conv2d` has three paths, and `_conv_path` picks one from the shapes
+`conv2d` has two paths, and `_conv_path` picks one from the shapes
 alone. The general path, which every strided convolution takes (and the
 stem's 1x1), runs im2col matrix products over a channel-last patch
 matrix (rows batch x output position, columns window cell x channel);
 the forward and the kernel gradient share it. Its input gradient is a
 transposed convolution run as one GEMM: the output gradient, with
 stride - 1 zeros inserted between its rows and columns and padded, is
-correlated with the flipped kernel. Stride-1 convolutions whose im2col
-flop count is well above the FFT path's (in the network: the 9x9 head at
-training and predict batches) run as a correlation in the frequency
-domain instead (`_conv2d_fft`, after Mathieu, Henaff & LeCun, arXiv
-1312.5851): rfft2 of the input, one batched complex matmul over channels
-per frequency, irfft2 and a crop; both VJPs stay in the frequency domain.
-Stride-1 convolutions with many more input than output channels over
-large enough maps (in the network: the dense blocks' 3x3s, except at
-desk maps below batch 16) run on the output side (`_conv2d_taps`, kn2row):
-one GEMM per image on the input's own layout gives every kernel tap's
-output plane, and the taps are added shifted; its backward gathers the
-output gradient once per tap and runs two GEMMs on that.
+correlated with the flipped kernel. Stride-1 convolutions with many more
+input than output channels over large enough maps (in the network: the
+dense blocks' 3x3s, except at desk maps below batch 16) run on the
+output side (`_conv2d_taps`, kn2row): one GEMM per image on the input's
+own layout gives every kernel tap's output plane, and the taps are added
+shifted; its backward gathers the output gradient once per tap and runs
+two GEMMs on that. Both paths round each output on its own and keep a
+NaN or inf input to the windows that cover its cell.
 "same" padding is symmetric zero padding with the extra cell on the high
 side when the deficit is odd; output size is ceil(in / stride). Pooling
 with "same" padding excludes the padded cells (max ignores them, average
@@ -31,7 +27,11 @@ reads: one im2col whose windows cover a whole pool window and one GEMM
 against the kernel placed once per pool cell. Both max pools take one
 rule from `_first_max` (maxima in row-major tap order, a window's
 gradient to its first maximal tap), so `conv_maxpool`'s output is
-bitwise the pair's. Batch
+bitwise the pair's. `conv_avgpool` is a "same" convolution followed by a
+"valid" average pool whose cells tile the conv's pad: one stride-1 conv
+on `conv2d`'s paths over a space-to-depth copy of the input, with the
+kernel box-filtered and cut the same way (the inverse of the pixel
+shuffle of Shi et al., arXiv 1609.05158). Batch
 normalization is split in two ops so that a dense block normalizes each
 channel once: `batchnorm` gives x_hat from statistics over a (B, C, H*W)
 view of its input, and each reader of x_hat applies its own scale, shift
@@ -40,22 +40,21 @@ and ReLU in `affine_relu`; both use closed-form gradients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .tensor import AutodiffError, ShapeError, Tensor, record
 
-# im2col flops over FFT-path flops above which `conv2d` takes the FFT
-# path; input over output channels, and output cells per map and per
-# batch, from which it takes the tap path; measured, see `_conv_path`
-_FFT_CROSSOVER = 3.0
+# input over output channels, and output cells per map and per batch,
+# from which `conv2d` takes the tap path; measured, see `_conv_path`
 _TAPS_CHANNEL_RATIO = 4
 _TAPS_MIN_MAP = 64
 _TAPS_MIN_CELLS = 1024
+# batch normalization's variance offset and running-stat decay
+_BN_EPS = 1e-5
+_BN_MOMENTUM = 0.9
 
 
 def _out_size(n: int, k: int, stride: int, padding: str) -> tuple[int, int, int]:
@@ -72,15 +71,15 @@ def _out_size(n: int, k: int, stride: int, padding: str) -> tuple[int, int, int]
     raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Channel-last (B,Hp,Wp,C) -> patch matrix, rows (b,oh,ow), columns (i,j,c).
+def _im2col(xp: np.ndarray, k: int, stride: int, oH: int, oW: int) -> np.ndarray:
+    """Channel-last (B,Hp,Wp,C) -> patch matrix of the first oH x oW
+    windows, rows (b,oh,ow), columns (i,j,c).
 
     One window row (i fixed) is k*C adjacent input values, so the copy
     moves runs of k*C values rather than of k.
     """
     B, C = xp.shape[0], xp.shape[3]
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    oH, oW = win.shape[1:3]
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, : stride * oH : stride, : stride * oW : stride]
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(B * oH * oW, k * k * C)
 
 
@@ -92,15 +91,8 @@ def _tap(a: np.ndarray, i: int, j: int, stride: int, oH: int, oW: int) -> np.nda
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
     """2D convolution (cross-correlation): kernel is (outC, inC, kH, kW).
 
-    Runs as an FFT correlation (`_conv2d_fft`), as output-side tap GEMMs
-    (`_conv2d_taps`) or as im2col GEMMs, as `_conv_path` says for the
-    shapes. The three agree to rounding. The tap and im2col paths round
-    each output on its own and keep a NaN or inf input to the windows
-    that cover its cell. The FFT path rounds and fails globally: in f32
-    its error is relative to the largest output of the map (≈3e-7 of
-    max|out| at the network's head shapes), not to each output, and a NaN
-    or inf anywhere in an input image makes every output of that image
-    non-finite.
+    Runs as output-side tap GEMMs (`_conv2d_taps`) or as im2col GEMMs, as
+    `_conv_path` says for the shapes. The two agree to rounding.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4D input and kernel, got {x.shape} and {kernel.shape}")
@@ -112,21 +104,25 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -
         raise ValueError(f"stride must be >= 1, got {stride}")
     if kh != kw:
         raise ShapeError(f"only square kernels supported, got {kh}x{kw}")
-    k = kh
+    oH, pt, _ = _out_size(H, kh, stride, padding)
+    oW, pl, _ = _out_size(W, kh, stride, padding)
+    return _conv(x, kernel, stride, (oH, oW), (pt, pl))
 
-    oH, pt, pb = _out_size(H, k, stride, padding)
-    oW, pl, pr = _out_size(W, k, stride, padding)
-    grid = (next_fast_len(H + max(pt, pb), real=True), next_fast_len(W + max(pl, pr), real=True))
-    path = _conv_path(B, C, O, k, (oH, oW), grid, stride)
-    if path == "fft":
-        return _conv2d_fft(x, kernel, (oH, oW), (pt, pl), grid)
-    if path == "taps":
-        return _conv2d_taps(x, kernel, (oH, oW), (pt, pl))
 
-    xp = np.zeros((B, H + pt + pb, W + pl + pr, C), dtype=x.data.dtype)
+def _conv(x: Tensor, kernel: Tensor, stride: int, out_hw: tuple, pad_lo: tuple) -> Tensor:
+    """`conv2d` at explicit output extents and low-side pads: output
+    (h, w) is the window at input cell (stride*h - pt, stride*w - pl),
+    zero past every edge."""
+    B, C, H, W = x.shape
+    O, _, k, _ = kernel.shape
+    (oH, oW), (pt, pl) = out_hw, pad_lo
+    if _conv_path(B, C, O, k, out_hw, stride) == "taps":
+        return _conv2d_taps(x, kernel, out_hw, pad_lo)
+
+    xp = np.zeros((B, max(H + pt, stride * (oH - 1) + k), max(W + pl, stride * (oW - 1) + k), C), dtype=x.data.dtype)
     xp[:, pt : pt + H, pl : pl + W] = x.data.transpose(0, 2, 3, 1)
 
-    cols = _im2col(xp, k, stride)
+    cols = _im2col(xp, k, stride, oH, oW)
     kmat = kernel.data.transpose(0, 2, 3, 1).reshape(O, k * k * C)
     out_data = (cols @ kmat.T).reshape(B, oH, oW, O).transpose(0, 3, 1, 2)
     out = Tensor(np.ascontiguousarray(out_data))
@@ -145,51 +141,31 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: str = "valid") -
             gz = np.zeros((B, H + k - 1, W + k - 1, O), dtype=g.dtype)
             gz[:, k - 1 - pt : k - 1 - pt + Lh : stride, k - 1 - pl : k - 1 - pl + Lw : stride] = g_last
             kflip = kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * O, C)
-            gx = (_im2col(gz, k, 1) @ kflip).reshape(B, H, W, C).transpose(0, 3, 1, 2)
+            gx = (_im2col(gz, k, 1, H, W) @ kflip).reshape(B, H, W, C).transpose(0, 3, 1, 2)
         return (gx, gk)
 
     return record(out, (x, kernel), vjp)
 
 
-def _conv_path(B: int, C: int, O: int, k: int, out_hw: tuple, grid: tuple, stride: int) -> str:
-    """The path `conv2d` takes for these shapes: "fft", "taps" or "im2col".
+def _conv_path(B: int, C: int, O: int, k: int, out_hw: tuple, stride: int) -> str:
+    """The path `conv2d` takes for these shapes: "taps" or "im2col".
 
-    Strided convolutions run on im2col. A stride-1 convolution runs as an
-    FFT correlation when the flops of a forward and backward on im2col
-    (three GEMMs) are at least `_FFT_CROSSOVER` times those on the FFT
-    path (2B(C+O) real FFTs at 2.5 N log2 N, three complex matmuls over
-    the half spectrum, and the two kernel DFTs). Otherwise a stride-1
-    convolution with k > 1 runs on the tap path when C is at least
-    `_TAPS_CHANNEL_RATIO` times O, so that its tap planes (O*k*k*H*W per
-    image) are a fraction of the im2col patch (C*k*k*oH*oW), and each map
-    has at least `_TAPS_MIN_MAP` output cells and the batch at least
+    A stride-1 convolution with k > 1 runs on the tap path when C is at
+    least `_TAPS_CHANNEL_RATIO` times O, so that its tap planes (O*k*k*H*W
+    per image) are a fraction of the im2col patch (C*k*k*oH*oW), and each
+    map has at least `_TAPS_MIN_MAP` output cells and the batch at least
     `_TAPS_MIN_CELLS`: below those, the k*k numpy calls per pass over
-    short rows cost more than the patch copy they save. Everything else
-    runs on im2col.
-
-    The constant 3 is where im2col and FFT cost the same in a sweep of 160
-    random shapes (B 1-64, C and O 8-64, H 4-32, k 3-9, "same" and
-    "valid"): it lost the least time to wrong picks. Timed ("same", f32,
-    one BLAS thread, 2-vCPU Xeon VM, best of 21 calls, ms forward / backward):
-
-        B, C->O, H, k    use                  flops ratio  im2col         FFT
-        16, 48->32, 32, 9  paper head, train     18.9   151.2 / 178.1   19.5 / 24.4
-        16, 48->32, 8, 9   desk head, train       9.9     4.1 / 8.3      1.8 / 2.4
-        64, 48->32, 8, 9   desk head, predict    13.6    42.7 / 58.4     7.8 / 9.7
-        4, 48->32, 8, 9    desk head, batch 4     4.8     1.3 / 2.0      1.3 / 1.5
-        2, 48->32, 8, 9    desk head, batch 2     2.8     0.65 / 0.92    0.83 / 1.09
-        1, 48->32, 8, 9    desk head, Grad-CAM    1.5     0.48 / 0.62    0.87 / 1.29
-        1, 48->32, 32, 9   paper head, Grad-CAM   3.7     5.0 / 7.8      3.0 / 6.6
-        16, 32->8, 32, 3   paper dense 3x3        2.0     7.0 / 5.7      4.9 / 8.9
-        16, 32->8, 8, 3    desk dense 3x3         2.3     0.38 / 0.43    0.74 / 0.84
+    short rows cost more than the patch copy they save. Everything else,
+    strided convolutions included, runs on im2col.
 
     The tap constants come from a sweep of 311 shapes (B 1-16; C->O
     16->8, 32->8, 64->8, 64->16, 32->16, 24->16, 48->32; H 4-32; k 3, 5
     and 9; "same"; best of 7 forward plus backward): the rule picks 49 of
     them, and the tap path was faster at 47 and within 4% at the other
     two. It lost at 145 of the 181 shapes with C < 4*O (the 9x9 head's
-    48->32 among them) and at 83 of the 84 with 4x4 maps. Timed as
-    above, ms forward / backward:
+    48->32 among them) and at 83 of the 84 with 4x4 maps. Timed ("same",
+    f32, one BLAS thread, 2-vCPU Xeon VM, best of 21 calls), ms forward /
+    backward:
 
         B, C->O, H, k    use                  im2col          taps
         16, 32->8, 32, 3   paper dense, train   5.89 / 6.07     3.03 / 4.05   taps
@@ -203,17 +179,9 @@ def _conv_path(B: int, C: int, O: int, k: int, out_hw: tuple, grid: tuple, strid
         1, 48->32, 8, 9    desk head, Grad-CAM  0.53 / 0.73     1.20 / 0.90   im2col
         2, 48->32, 8, 9    desk head, batch 2   0.85 / 1.24     1.24 / 1.10   im2col
     """
-    if stride != 1:
-        return "im2col"
-    (oH, oW), (nH, nW) = out_hw, grid
-    cells = nH * nW
-    im2col = 6 * B * C * O * k * k * oH * oW
-    fft = 5 * B * (C + O) * cells * math.log2(cells) + 12 * B * C * O * cells + 8 * C * O * k * (k + nH) * nW
-    if im2col >= _FFT_CROSSOVER * fft:
-        return "fft"
-    if k > 1 and _TAPS_CHANNEL_RATIO * O <= C and oH * oW >= _TAPS_MIN_MAP and B * oH * oW >= _TAPS_MIN_CELLS:
-        return "taps"
-    return "im2col"
+    oH, oW = out_hw
+    wide = stride == 1 and k > 1 and _TAPS_CHANNEL_RATIO * O <= C
+    return "taps" if wide and oH * oW >= _TAPS_MIN_MAP and B * oH * oW >= _TAPS_MIN_CELLS else "im2col"
 
 
 def _shifts(n_out: int, n: int, lo: int, k: int) -> list:
@@ -260,59 +228,6 @@ def _conv2d_taps(x: Tensor, kernel: Tensor, out_hw: tuple, pad_lo: tuple) -> Ten
         if kernel.requires_grad:
             gk = (gp @ xv.transpose(0, 2, 1)).sum(axis=0).reshape(O, k, k, C)
             gk = np.ascontiguousarray(gk.transpose(0, 3, 1, 2))
-        return (gx, gk)
-
-    return record(out, (x, kernel), vjp)
-
-
-def _tap_dft(n: int, k: int, lo: int, dtype) -> np.ndarray:
-    """(n, k) matrix exp(+2*pi*i * f * (t - lo) / n): the DFT, conjugated,
-    of kernel tap t placed at grid cell (t - lo) mod n."""
-    phase = np.outer(np.arange(n), np.arange(k) - lo) % n
-    return np.exp(2j * np.pi / n * phase).astype(dtype)
-
-
-def _conv2d_fft(x: Tensor, kernel: Tensor, out_hw: tuple, pad_lo: tuple, grid: tuple) -> Tensor:
-    """Stride-1 `conv2d` as a circular correlation on an (nH, nW) grid.
-
-    The input sits at the grid's origin and kernel tap (u, v) at cell
-    (u - pt, v - pl) mod the grid, so output (h, w) is grid cell (h, w).
-    A grid of H + max(pt, pb) rows (and likewise columns) is enough: the
-    wrapped rows a window reads beyond either edge are all zero padding.
-    Spectra are kept frequency-major, (nH, nW // 2 + 1, rows, cols), so
-    that the sum over channels is one batched matmul per frequency. The
-    kernel has only k x k taps, so its spectrum and the kernel gradient
-    are DFTs against (nH, k) and (nf, k) phase matrices rather than FFTs
-    of a mostly empty grid. Both VJPs reuse the forward's spectra.
-    """
-    B, C, H, W = x.shape
-    O, _, k, _ = kernel.shape
-    (oH, oW), (pt, pl), (nH, nW) = out_hw, pad_lo, grid
-    nf = nW // 2 + 1
-    cdt = np.result_type(x.data.dtype, kernel.data.dtype, np.complex64)
-    Eh = _tap_dft(nH, k, pt, cdt)
-    Ew = _tap_dft(nW, k, pl, cdt)[:nf]
-    X = np.ascontiguousarray(rfft2(x.data, s=grid).transpose(2, 3, 0, 1))  # (nH, nf, B, C)
-    ktaps = kernel.data.transpose(2, 3, 1, 0).reshape(k, k, C * O)
-    # the kernel spectrum's conjugate: the correlation's spectrum is X @ Kc
-    Kc = (Eh @ (Ew @ ktaps).reshape(k, nf * C * O)).reshape(nH, nf, C, O)
-    out = irfft2((X @ Kc).transpose(2, 3, 0, 1), s=grid)[:, :, :oH, :oW]
-    out = Tensor(np.ascontiguousarray(out))
-
-    def vjp(g):
-        G = np.ascontiguousarray(rfft2(g, s=grid).transpose(2, 3, 0, 1))  # (nH, nf, B, O)
-        gx = gk = None
-        if x.requires_grad:
-            gx = irfft2((G @ Kc.conj().swapaxes(-1, -2)).transpose(2, 3, 0, 1), s=grid)[:, :, :H, :W]
-        if kernel.requires_grad:
-            # inverse real DFT at the k x k taps only; each bin between DC
-            # and Nyquist stands for itself and its conjugate
-            f = np.arange(nf)
-            weight = np.where((f == 0) | (2 * f == nW), 1.0, 2.0) / (nH * nW)
-            R = (X.swapaxes(-1, -2) @ G.conj()).reshape(nH, nf * C * O)
-            P = (Eh.T @ R).reshape(k, nf, C * O)
-            taps = ((Ew.T * weight.astype(Ew.real.dtype)) @ P).real
-            gk = np.ascontiguousarray(taps.reshape(k, k, C, O).transpose(3, 2, 0, 1))
         return (gx, gk)
 
     return record(out, (x, kernel), vjp)
@@ -488,6 +403,71 @@ def conv_maxpool(x: Tensor, kernel: Tensor, stride: int, size: int, pool_stride:
     return record(out, (x, kernel), vjp)
 
 
+def conv_avgpool(x: Tensor, kernel: Tensor, size: int) -> Tensor:
+    """`conv2d(x, kernel, 1, "same")` then `pool2d(., "avg", size, size,
+    "valid")`, as one stride-1 conv over size x size cells.
+
+    When the kernel's pad p is t whole cells, pooled cell m reads input
+    rows size*m - p ... size*m + size - 1 + p: cells m - t ... m + t of
+    the copy `_space_to_depth` makes. So the pair is a (2t+1) x (2t+1)
+    conv, with the kernel `_fold_kernel` makes, run on `conv2d`'s paths at
+    H//size x W//size outputs and t cells of low-side pad. Output and
+    gradients are the pair's up to rounding, and a NaN input reaches the
+    pooled cells whose windows read it, as in the pair.
+    """
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise ShapeError(f"conv_avgpool expects 4D input and kernel, got {x.shape} and {kernel.shape}")
+    B, C, H, W = x.shape
+    O, Ck, k, kw = kernel.shape
+    p = (k - 1) // 2
+    if C != Ck or k != kw or k % 2 == 0 or size < 1 or p % size or min(H, W) < size:
+        raise ShapeError(
+            f"conv_avgpool needs an odd square kernel over {C} channels whose pad is whole {size}-cells, "
+            f"and an input of at least one cell; got kernel {kernel.shape} and input {x.shape}"
+        )
+    return _conv(_space_to_depth(x, size), _fold_kernel(kernel, size), 1, (H // size, W // size), (p // size,) * 2)
+
+
+def _space_to_depth(x: Tensor, s: int) -> Tensor:
+    """(B, C, H, W) -> (B, s*s*C, ceil(H/s), ceil(W/s)): channel (a, b, c)
+    of cell (m, n) is x[:, c, s*m + a, s*n + b], zero past the edge."""
+    B, C, H, W = x.shape
+    Hc, Wc = -(-H // s), -(-W // s)
+    xd = x.data
+    if (Hc * s, Wc * s) != (H, W):
+        xd = np.zeros((B, C, Hc * s, Wc * s), dtype=x.data.dtype)
+        xd[:, :, :H, :W] = x.data
+    out = xd.reshape(B, C, Hc, s, Wc, s).transpose(0, 3, 5, 1, 2, 4).reshape(B, s * s * C, Hc, Wc)
+
+    def vjp(g):
+        return (g.reshape(B, s, s, C, Hc, Wc).transpose(0, 3, 4, 1, 5, 2).reshape(B, C, Hc * s, Wc * s)[:, :, :H, :W],)
+
+    return record(Tensor(out), (x,), vjp)
+
+
+def _fold_kernel(kernel: Tensor, s: int) -> Tensor:
+    """(O, C, k, k) -> (O, s*s*C, n, n), n = (k - 1)/s + 1: the kernel
+    box-filtered over s x s, P K P^T per channel pair with P the (n*s, k)
+    band of 1/s where 0 <= u - i < s, in `_space_to_depth`'s channel
+    order. Both products, and the backward's, are GEMMs with the O*C
+    channel pairs on the last axis. The result views an (n, n, O, s*s*C)
+    array, the order both conv paths read, so copies move runs of C."""
+    O, C, k, _ = kernel.shape
+    n = (k - 1) // s + 1
+    u = np.arange(n * s)[:, None] - np.arange(k)
+    band = (((u >= 0) & (u < s)) / s).astype(kernel.data.dtype)
+    taps = (band @ kernel.data.transpose(2, 3, 0, 1).reshape(k, k * O * C)).reshape(n * s, k, O * C)
+    folded = (band @ taps).reshape(n, s, n, s, O, C)  # rows (cell, offset), columns likewise, channel pairs
+    out = folded.transpose(0, 2, 4, 1, 3, 5).reshape(n, n, O, s * s * C).transpose(2, 3, 0, 1)
+
+    def vjp(g):
+        g = g.reshape(O, s, s, C, n, n).transpose(4, 1, 5, 2, 0, 3).reshape(n * s, n * s, O * C)
+        gk = (band.T @ (band.T @ g).reshape(n * s, k * O * C)).reshape(k, k, O, C)
+        return (np.ascontiguousarray(gk.transpose(2, 3, 0, 1)),)
+
+    return record(Tensor(out), (kernel,), vjp)
+
+
 @dataclass
 class BatchNormState:
     """Per-channel running statistics, updated in place by exponential
@@ -505,8 +485,6 @@ def batchnorm(
     x: Tensor,
     state: BatchNormState,
     mode: str = "train",
-    eps: float = 1e-5,
-    momentum: float = 0.9,
     out: np.ndarray | None = None,
 ) -> Tensor:
     """Per-channel normalization over (batch, height, width): x_hat, with
@@ -544,13 +522,13 @@ def batchnorm(
         mu = xv.sum(axis=2).sum(axis=0) / n
         np.subtract(xv, mu[:, None], out=xhat)
         var = np.vecdot(xhat, xhat).sum(axis=0) / n
-        np.add(momentum * state.running_mean, (1.0 - momentum) * mu, out=state.running_mean)
-        np.add(momentum * state.running_var, (1.0 - momentum) * var, out=state.running_var)
+        np.add(_BN_MOMENTUM * state.running_mean, (1.0 - _BN_MOMENTUM) * mu, out=state.running_mean)
+        np.add(_BN_MOMENTUM * state.running_var, (1.0 - _BN_MOMENTUM) * var, out=state.running_var)
     else:
         np.subtract(xv, state.running_mean.astype(x.data.dtype)[:, None], out=xhat)
         var = state.running_var.astype(x.data.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     xhat *= inv_std[:, None]
 
     def vjp(g):

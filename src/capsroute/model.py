@@ -13,7 +13,10 @@ pad differently; `NetworkConfig.validate` rejects those input sizes. The
 7x7 conv and the 3/4 pool run as one op, `conv.conv_maxpool`, which
 computes only the conv cells that the pool reads (about 9/16); its
 output is bitwise the pair's, and its kernel gradient differs from the
-pair's by summation order only.
+pair's by summation order only. In `forward`, the 9x9 head conv and its
+4/4 average pool likewise run as one op, `conv.conv_avgpool`, which
+computes only the pooled cells; `pre_pool` and `head_tail` keep the pair
+apart, because Grad-CAM reads the full-resolution map between them.
 Dense blocks follow BN-ReLU-Conv(1x1)-BN-ReLU-Conv(3x3) composite layers
 where the 1x1 step is the routed capsule layer. A channel's batch
 statistics are the same in every BN that reads it, so each channel is
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import BatchNormState, affine_relu, batchnorm, conv2d, conv_maxpool, pool2d
+from .conv import BatchNormState, affine_relu, batchnorm, conv2d, conv_avgpool, conv_maxpool, pool2d
 from .routing import (
     Conv1x1CapsuleParams,
     FcCapsuleParams,
@@ -286,20 +289,26 @@ class Network:
     def forward(self, batch, mode: str = "train", coupling_trace: dict | None = None):
         """Run the network; returns (scores, taps).
 
-        scores is (N, n_classes) with every entry in [0, 1); taps holds one
-        entry, "pre_pool_activations", the head conv's output that
-        `head_tail` maps to the scores and Grad-CAM differentiates.
+        scores is (N, n_classes) with every entry in [0, 1), the scores
+        `head_tail(pre_pool(batch))` gives up to rounding, with the head
+        conv and its pool fused into one `conv_avgpool`. taps is an empty
+        dict, kept for callers that read `forward(...)[1]`.
         `coupling_trace`, when a dict, collects every routed layer's
         per-iteration coupling tensors under the layer's name.
         """
-        pre_pool = self.pre_pool(batch, mode, coupling_trace)
-        return self.head_tail(pre_pool, coupling_trace), {"pre_pool_activations": pre_pool}
+        y = self._head_input(batch, mode, coupling_trace)
+        return self._capsule_scores(conv_avgpool(y, self.head_conv, 4), coupling_trace), {}
 
     def pre_pool(self, batch, mode: str = "train", coupling_trace: dict | None = None) -> Tensor:
-        """The head conv's output: stem, dense blocks, head BN-ReLU and 9x9
+        """The head conv's full-resolution output, which `head_tail` maps to
 
-        conv, everything `forward` runs before `head_tail`.
+        the scores and Grad-CAM differentiates: stem, dense blocks, head
+        BN-ReLU and 9x9 conv.
         """
+        return conv2d(self._head_input(batch, mode, coupling_trace), self.head_conv, stride=1, padding="same")
+
+    def _head_input(self, batch, mode: str, coupling_trace: dict | None) -> Tensor:
+        """Stem, dense blocks and head BN-ReLU on a checked input batch."""
         x = batch if isinstance(batch, Tensor) else Tensor(batch, dtype=self.config.dtype)
         if x.ndim != 4 or x.shape[2] != self.config.input_size or x.shape[3] != self.config.input_size:
             raise ConfigError(
@@ -308,7 +317,7 @@ class Network:
         return self.dense_head(self.stem(x), mode, coupling_trace)
 
     def dense_head(self, x: Tensor, mode: str = "train", coupling_trace: dict | None = None) -> Tensor:
-        """Dense blocks, head BN-ReLU and 9x9 conv on the stem's output x.
+        """Dense blocks and the head BN-ReLU on the stem's output x.
 
         Each channel group (the stem's maps, then each layer's new maps) is
         normalized once into one x_hat buffer, its running stats held in
@@ -330,8 +339,7 @@ class Network:
                 new = self.composite_layer(parts, lay, mode, coupling_trace, xhat[:, :c])
                 parts.append(join(new, c))
                 c += new.shape[1]
-        y = affine_relu(parts, self.head_bn_gamma, self.head_bn_beta, xhat)
-        return conv2d(y, self.head_conv, stride=1, padding="same")
+        return affine_relu(parts, self.head_bn_gamma, self.head_bn_beta, xhat)
 
     def stem(self, x: Tensor) -> Tensor:
         """Conv 7x7/2, max pool 3/4, conv 1x1/1 and avg pool 2/1: the
@@ -371,7 +379,9 @@ class Network:
         class-score path that weakly supervised localization explains):
         4x4 average pool, primary capsules, FC routing and capsule norms.
         """
-        pooled = pool2d(pre_pool, "avg", 4, 4, padding="valid")
+        return self._capsule_scores(pool2d(pre_pool, "avg", 4, 4, padding="valid"), coupling_trace)
+
+    def _capsule_scores(self, pooled: Tensor, coupling_trace: dict | None) -> Tensor:
         trace = None if coupling_trace is None else coupling_trace.setdefault("fc", [])
         v = route_fc(primary_capsules(pooled), self.fc, self.config.grad_mode, freeze_key="fc", trace=trace)
         return vec_norm(v, axis=2)

@@ -71,17 +71,17 @@ def _tiny_net(seed=0, dtype="f64"):
 
 
 def _whole_forward_cam(net, image, class_idx):
-    """Reference Grad-CAM: tape the whole eval forward, read the pre-pool
+    """Reference Grad-CAM: tape the whole eval `head_tail(pre_pool(x))`,
 
-    tap's gradient.
+    read the pre-pool map's gradient.
     """
     x = Tensor(np.asarray(image)[None, None], dtype=net.config.dtype)
     with Tape() as tape:
-        scores, taps = net.forward(x, mode="eval")
+        act = net.pre_pool(x, mode="eval")
+        scores = net.head_tail(act)
         onehot = np.zeros(scores.shape)
         onehot[0, class_idx] = 1.0
         backward(tape, tsum(scores * Tensor(onehot, dtype=net.config.dtype)))
-    act = taps["pre_pool_activations"]
     grads = act.grad if act.grad is not None else np.zeros_like(act.data)
     return cam_from_activations(act.data[0], grads[0])
 
@@ -130,8 +130,7 @@ class TestGradCam:
         # against central differences through the score tail
         net = _tiny_net(seed=4)
         rng = np.random.default_rng(5)
-        scores, taps = net.forward(rng.standard_normal((1, 1, 32, 32)), mode="eval")
-        a0 = Tensor(taps["pre_pool_activations"].data.copy())
+        a0 = Tensor(net.pre_pool(rng.standard_normal((1, 1, 32, 32)), mode="eval").data.copy())
         onehot = np.zeros((1, net.config.n_classes))
         onehot[0, 0] = 1.0
 

@@ -280,8 +280,18 @@ class TestForward:
         assert scores.shape == (4, 3)
         assert np.all(scores.data >= 0.0)
         assert np.all(scores.data < 1.0)
-        assert list(taps) == ["pre_pool_activations"]
-        assert taps["pre_pool_activations"].shape == (4, 16, 8, 8)
+        assert taps == {}
+        assert net.pre_pool(rng.standard_normal((4, 1, 64, 64)), mode="eval").shape == (4, 16, 8, 8)
+
+    @pytest.mark.parametrize("size", [64, 80])
+    def test_fused_head_equals_pre_pool_then_tail(self, size):
+        # `forward` runs the head conv and its pool as one `conv_avgpool`;
+        # at 80 px the 10x10 head grid is not a multiple of the pool
+        net = build_network(desk_config(input_size=size, dtype="f64"), seed=8)
+        x = np.random.default_rng(9).standard_normal((3, 1, size, size))
+        fused = net.forward(x, mode="eval")[0].data
+        pair = net.head_tail(net.pre_pool(x, mode="eval")).data
+        assert np.abs(fused - pair).max() <= 1e-12
 
     def test_zero_fc_weights_give_zero_scores(self):
         net = build_network(desk_config(), seed=5)
@@ -312,8 +322,7 @@ class TestCompositeLayer:
         net = build_network(cfg, seed=11)
         assert net.dense_state.running_mean.size == net.head_bn_gamma.size == 8 + 3 * 4
         x = np.random.default_rng(12).standard_normal((2, 1, 64, 64))
-        _, taps = net.forward(x)
-        assert taps["pre_pool_activations"].shape == (2, cfg.head_channels, 8, 8)
+        assert net.pre_pool(x).shape == (2, cfg.head_channels, 8, 8)
 
         # replay the same forward group by group, each group with its own stats
         ref = build_network(cfg, seed=11)
@@ -443,7 +452,7 @@ class TestSharedNormalization:
         probe = Tensor(rng.standard_normal((2, 2)))
 
         def loss(t):
-            return (net.head_tail(net.dense_head(t, mode)) * probe).sum()
+            return (net.head_tail(conv2d(net.dense_head(t, mode), net.head_conv, 1, "same")) * probe).sum()
 
         checked = {name: p for name, p in params.items() if not name.startswith("stem.")}
         assert sum(name.endswith("bn1.gamma") for name in checked) == 4

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from capsroute import conv
-from capsroute.conv import BatchNormState, affine_relu, batchnorm, conv2d, conv_maxpool, pool2d
+from capsroute.conv import BatchNormState, affine_relu, batchnorm, conv2d, conv_avgpool, conv_maxpool, pool2d
 from capsroute.model import NetworkConfig, build_network
 from capsroute.tensor import (
     AutodiffError,
@@ -154,13 +154,14 @@ class TestConv2d:
 
 
 # ---------------------------------------------------------------------------
-# conv2d's three paths: im2col, the FFT correlation and the output-side taps
+# conv2d's two paths: im2col and the output-side taps
 # ---------------------------------------------------------------------------
 
-PATHS = ("im2col", "fft", "taps")
+PATHS = ("im2col", "taps")
 
-# (B, C, O, H, W, k, padding): the 9x9 head (48 -> 32 maps) as the desk
-# (64 px) and paper (256 px) networks run it in training, predict and Grad-CAM
+# (B, C, O, H, W, k, padding): the unfused 9x9 head (48 -> 32 maps) at the
+# desk (64 px) and paper (256 px) networks' training, predict and Grad-CAM
+# batches; `pre_pool` runs it for Grad-CAM
 HEAD_SHAPES = [
     (16, 48, 32, 8, 8, 9, "same"),
     (64, 48, 32, 8, 8, 9, "same"),
@@ -177,7 +178,7 @@ DENSE_SHAPES = [
 
 @contextmanager
 def conv_path(path):
-    """Run `conv2d` on the named path: "im2col", "fft" or "taps"."""
+    """Run `conv2d` on the named path: "im2col" or "taps"."""
     with mock.patch.object(conv, "_conv_path", lambda *shapes: path):
         yield
 
@@ -232,7 +233,7 @@ class TestConvPaths:
         [
             (2, 3, 2, 8, 8, 9, "same"),  # the head's kernel, wider than its input
             (1, 1, 1, 32, 32, 9, "same"),  # the paper head's extent
-            (1, 2, 2, 1, 3, 9, "same"),  # the FFT grid narrower than the kernel
+            (1, 2, 2, 1, 3, 9, "same"),  # an input narrower than the kernel
             (2, 3, 4, 9, 13, 5, "valid"),
             (2, 2, 3, 5, 7, 4, "same"),  # even kernel: the odd pad cell goes low side
             (1, 2, 3, 6, 7, 6, "valid"),
@@ -254,15 +255,15 @@ class TestConvPaths:
 
     @pytest.mark.parametrize("shape", HEAD_SHAPES)
     def test_paths_agree_at_head_shapes_f64(self, shape):
-        im2col, fft = (conv_on_path(path, *head_case(shape, seed=5)) for path in ("im2col", "fft"))
-        for got, ref in zip(fft, im2col):
+        im2col, taps = (conv_on_path(path, *head_case(shape, seed=5)) for path in PATHS)
+        for got, ref in zip(taps, im2col):
             assert rel_err(got, ref) <= 1e-12
 
     @pytest.mark.parametrize("shape", [HEAD_SHAPES[0], HEAD_SHAPES[3], *DENSE_SHAPES])
     def test_f32_error_relative_to_map_maximum(self, shape):
         # every path within 2e-6 (about 17 f32 eps) of max|f64 result|, for
-        # the output and both gradients; measured: im2col <= 6.1e-7, FFT
-        # <= 2.9e-7 and taps <= 4.9e-7 at these shapes
+        # the output and both gradients; measured: im2col <= 6.1e-7 and
+        # taps <= 4.9e-7 at these shapes
         x, kern, padding, g = head_case(shape, seed=6)
         want = conv_on_path("im2col", x, kern, padding, g)
         lo = [a.astype(np.float32) for a in (x, kern)]
@@ -272,37 +273,32 @@ class TestConvPaths:
                 assert a.dtype == np.float32
                 assert rel_err(a, b) <= 2e-6
 
-    @pytest.mark.parametrize("fft", [False, True])
-    def test_kernel_gradient_is_c_contiguous(self, fft):
+    def test_kernel_gradient_is_c_contiguous(self):
         # adam_step reads the kernel gradient in whole-array passes
-        _, _, gk = conv_on_path("fft" if fft else "im2col", *head_case((2, 3, 4, 9, 13, 5, "same"), seed=8))
+        _, _, gk = conv_on_path("im2col", *head_case((2, 3, 4, 9, 13, 5, "same"), seed=8))
         assert gk.shape == (4, 3, 5, 5) and gk.flags.c_contiguous
 
     def test_tap_kernel_gradient_is_c_contiguous(self):
         _, _, gk = conv_on_path("taps", *head_case((2, 3, 4, 9, 13, 5, "same"), seed=8))
         assert gk.shape == (4, 3, 5, 5) and gk.flags.c_contiguous
 
-    def test_nonfinite_input_spreads_over_the_image_on_the_fft_path(self):
+    def test_nonfinite_input_stays_local_on_both_paths(self):
         x, kern, padding, g = head_case((2, 3, 2, 8, 8, 9, "same"), seed=7)
         x[0, 1, 0, 0] = np.nan
-        with conv_path("im2col"):
-            local = conv2d(Tensor(x), Tensor(kern), 1, padding).data
-        with conv_path("fft"):
-            spread = conv2d(Tensor(x), Tensor(kern), 1, padding).data
-        with conv_path("taps"):
-            taps = conv2d(Tensor(x), Tensor(kern), 1, padding).data
-        # im2col and taps: only the windows over cell (0, 0), rows and columns 0..4
-        for out in (local, taps):
-            assert np.isnan(out[0, :, :5, :5]).all() and np.isfinite(out[0, :, 5:]).all()
-            assert np.isfinite(out[0, :, :, 5:]).all() and np.isfinite(out[1]).all()
-        assert np.isnan(spread[0]).all() and np.isfinite(spread[1]).all()
+        for path in PATHS:
+            with conv_path(path):
+                out = conv2d(Tensor(x), Tensor(kern), 1, padding).data
+            # only the windows over cell (0, 0), rows and columns 0..4
+            assert np.isnan(out[0, :, :5, :5]).all() and np.isfinite(out[0, :, 5:]).all(), path
+            assert np.isfinite(out[0, :, :, 5:]).all() and np.isfinite(out[1]).all(), path
 
     def test_network_convs_take_their_side(self):
-        # the desk recipe's network at 64 px and 256 px; the stem's 7x7 runs
+        # the desk recipe's network at 64 px and 256 px. The stem's 7x7 runs
         # in `conv_maxpool` and its 1x1 stays on im2col; the dense 3x3s run
-        # on taps, except on 8x8 desk maps at batch 1 (Grad-CAM); the 9x9
-        # head goes to FFT at training and predict batches, and at batch 1
-        # only at 256 px
+        # on taps, except on 8x8 desk maps at batch 1 (Grad-CAM). `forward`
+        # runs the head as `conv_avgpool`'s 3x3 over 768 channels, on taps
+        # only over the paper's 8x8 cells at batch 16; `pre_pool` runs the
+        # unfused 9x9, always on im2col
         recipe = dict(
             down_channels=(16, 16),
             n_dense_blocks=1,
@@ -314,15 +310,17 @@ class TestConvPaths:
         for size, batches in ((64, (1, 16, 64)), (256, (1, 16))):
             net = build_network(NetworkConfig(input_size=size, **recipe), seed=0)
             for B in batches:
-                calls = []
-                original = conv.conv2d
-                with recorded_paths() as taken, mock.patch("capsroute.model.conv2d") as spy:
-                    spy.side_effect = lambda x, k, *a, **kw: calls.append(k.shape[-1]) or original(x, k, *a, **kw)
-                    net.pre_pool(np.zeros((B, 1, size, size), dtype=np.float32), mode="eval")
-                assert calls == [1] + [3] * 4 + [9]
                 dense = "im2col" if (size, B) == (64, 1) else "taps"
-                head = "fft" if B > 1 or size == 256 else "im2col"
-                assert taken == ["im2col"] + [dense] * 4 + [head], (size, B)
+                fused = "taps" if (size, B) == (256, 16) else "im2col"
+                x = np.zeros((B, 1, size, size), dtype=np.float32)
+                for run, head_k, head in ((net.pre_pool, [9], "im2col"), (net.forward, [], fused)):
+                    calls = []
+                    original = conv.conv2d
+                    with recorded_paths() as taken, mock.patch("capsroute.model.conv2d") as spy:
+                        spy.side_effect = lambda x, k, *a, **kw: calls.append(k.shape[-1]) or original(x, k, *a, **kw)
+                        run(x, mode="eval")
+                    assert calls == [1] + [3] * 4 + head_k
+                    assert taken == ["im2col"] + [dense] * 4 + [head], (size, B, run.__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +552,82 @@ class TestConvMaxpool:
         x = Tensor(np.zeros((1, 1, 16, 16)), requires_grad=True)
         with pytest.raises(AutodiffError, match="input gradient"):
             conv_maxpool(x, Tensor(np.zeros((2, 1, 7, 7))), 2, 3, 4)
+
+
+def conv_avgpool_pair(x, k, g):
+    """(out, gx, gk) of `conv_avgpool(x, k, 4)` and of the conv-then-pool
+    pair it fuses, for upstream gradient g."""
+    runs = []
+    for op in (lambda a, b: conv_avgpool(a, b, 4), lambda a, b: pool2d(conv2d(a, b, 1, "same"), "avg", 4, 4, "valid")):
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        with Tape() as tape:
+            out = op(xt, kt)
+            backward(tape, (out * Tensor(g)).sum())
+        runs.append((out.data, xt.grad, kt.grad))
+    return runs
+
+
+class TestConvAvgpool:
+    # (B, C, O, H, W): the desk (8x8) and paper (32x32) heads at training
+    # batch and at batch 1, then grids of 6x6 and 10x10 (inputs of 48 and
+    # 80 px), whose last cells are partly past the edge, and a 7x13 one
+    SHAPES = [
+        (16, 48, 32, 8, 8),
+        (1, 48, 32, 8, 8),
+        (16, 48, 32, 32, 32),
+        (1, 48, 32, 32, 32),
+        (2, 8, 4, 6, 6),
+        (2, 8, 4, 10, 10),
+        (2, 8, 4, 7, 13),
+    ]
+
+    @staticmethod
+    def case(B, C, O, H, W, dtype=np.float64):
+        rng = np.random.default_rng(B + C + H + W)
+        x = rng.standard_normal((B, C, H, W)).astype(dtype)
+        k = rng.standard_normal((O, C, 9, 9)).astype(dtype)
+        return x, k, rng.standard_normal((B, O, H // 4, W // 4)).astype(dtype)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_conv_then_pool_f64(self, shape):
+        fused, pair = conv_avgpool_pair(*self.case(*shape))
+        assert fused[0].shape == pair[0].shape
+        for got, ref in zip(fused, pair):
+            assert rel_err(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("shape", SHAPES[:4])
+    def test_f32_error_relative_to_map_maximum(self, shape):
+        # the output and both gradients within 2e-6 of max|f64 pair|, as
+        # for `conv2d`'s paths; measured <= 7.0e-7 at these shapes
+        x, k, g = self.case(*shape)
+        _, want = conv_avgpool_pair(x, k, g)
+        fused, _ = conv_avgpool_pair(x.astype(np.float32), k.astype(np.float32), g.astype(np.float32))
+        for got, ref in zip(fused, want):
+            assert got.dtype == np.float32
+            assert rel_err(got, ref) <= 2e-6
+
+    def test_nan_input_stays_in_the_windows_that_read_it(self):
+        # input rows 9 and 10 lie in cell 2, which pooled rows 1..3 of the
+        # 10x10 grid read; column 0 lies in cell 0, which pooled columns 0..1 read
+        x, k, _ = self.case(2, 8, 4, 40, 40)
+        x[0, 3, 9, 0] = x[0, 5, 10, 0] = np.nan
+        out = conv_avgpool(Tensor(x), Tensor(k), 4).data
+        want = pool2d(conv2d(Tensor(x), Tensor(k), 1, "same"), "avg", 4, 4, "valid").data
+        hit = np.zeros(out.shape, dtype=bool)
+        hit[0, :, 1:4, 0:2] = True
+        assert np.isnan(out[hit]).all() and np.isfinite(out[~hit]).all()
+        np.testing.assert_array_equal(np.isnan(want), hit)
+
+    def test_kernel_gradient_is_c_contiguous(self):
+        x, k, g = self.case(2, 8, 4, 8, 8)
+        (_, _, gk), _ = conv_avgpool_pair(x, k, g)
+        assert gk.shape == k.shape and gk.flags.c_contiguous
+
+    @pytest.mark.parametrize("k,size", [(8, 4), (7, 4), (9, 3)])
+    def test_pad_of_partial_cells_rejected(self, k, size):
+        # the fusion needs an odd kernel whose pad is whole cells
+        with pytest.raises(ShapeError, match="whole"):
+            conv_avgpool(Tensor(np.zeros((1, 2, 8, 8))), Tensor(np.zeros((3, 2, k, k))), size)
 
 
 # ---------------------------------------------------------------------------
@@ -976,14 +1050,11 @@ class TestFiniteDiff:
         assert finite_diff_check(lambda t: relu(conv2d(t, w, 1, pad)).sum(), x, max_coords=40) <= 1e-4
         assert finite_diff_check(lambda t: relu(conv2d(x, t, 1, pad)).sum(), w, max_coords=40) <= 1e-4
 
-    def test_fft_path_gradients_at_desk_head(self):
-        # the desk head at batch 16, which conv2d runs on the FFT path; a
-        # seeded subset of coordinates, at the sweep's bound
+    def test_conv_avgpool_gradients_at_desk_head(self):
+        # the desk head at batch 16, as `forward` runs it; a seeded subset
+        # of coordinates, at the sweep's bound
         rng = np.random.default_rng(17)
         x = Tensor(rng.standard_normal((16, 48, 8, 8)))
         w = Tensor(rng.standard_normal((32, 48, 9, 9)) / 9.0)
-        with recorded_paths() as taken:
-            conv2d(x, w, 1, "same")
-        assert taken == ["fft"]
-        assert finite_diff_check(lambda t: relu(conv2d(t, w, 1, "same")).sum(), x, max_coords=40) <= 1e-4
-        assert finite_diff_check(lambda t: relu(conv2d(x, t, 1, "same")).sum(), w, max_coords=40) <= 1e-4
+        assert finite_diff_check(lambda t: relu(conv_avgpool(t, w, 4)).sum(), x, max_coords=40) <= 1e-4
+        assert finite_diff_check(lambda t: relu(conv_avgpool(x, t, 4)).sum(), w, max_coords=40) <= 1e-4

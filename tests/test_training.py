@@ -275,14 +275,16 @@ class TestTrainEpoch:
         assert (m.lambda_plus, m.lambda_minus) == (0.75, 0.25)
 
 
-@pytest.mark.parametrize("make,records", [(build_network, 120), (baseline_variant, 64)])
+@pytest.mark.parametrize("make,records", [(build_network, 121), (baseline_variant, 65)])
 def test_desk_step_tape_record_count_pinned(make, records):
     # one desk-recipe forward plus margin loss, as a train step tapes it.
     # A change to the count (telemetry, a composed op) must update this
     # pin on purpose: records cost tape time on every step. Each layer
     # tapes four BN records (its reader's affine-ReLU, the second BN's
     # normalization and affine-ReLU, its new maps' normalization), and the
-    # stem's normalization and the head's reader add two.
+    # stem's normalization and the head's reader add two. The head conv and
+    # its pool tape three: the space-to-depth copy, the kernel fold and the
+    # cell conv of `conv_avgpool`.
     cfg = NetworkConfig(input_size=64, n_dense_blocks=1, layers_per_block=4)
     net = make(cfg, 0)
     x = np.random.default_rng(0).standard_normal((2, 1, 64, 64))

@@ -13,10 +13,11 @@ read and never changed. The JSON printed on standard output holds:
 
 - "predict", "grad_cam": SHA-256 per tree of the f32 eval scores of
   eval_desk's held-out images and of the Grad-CAM maps of the first
-  images' ground-truth boxes. Both trees load the same state arrays: a
-  checkpoint that PARENT trains with eval_desk's recipe and writes with its
-  own `save_checkpoint`, and that each tree reads with its own
-  `_restore_network`.
+  images' ground-truth boxes, whether they are equal, and "max_rel": the
+  largest |CHANGE - PARENT| over the largest |PARENT|. Both trees load the
+  same state arrays: a checkpoint that PARENT trains with eval_desk's
+  recipe and writes with its own `save_checkpoint`, and that each tree
+  reads with its own `_restore_network`.
 - "train": per workload and dtype, the seeded steps of perfbench's recipe
   (data seed 4, step rng 7; 12 train_desk, 12 train_desk_baseline and 3
   train_paper steps, in f32 and in f64): "loss_max_rel", the largest
@@ -29,9 +30,11 @@ read and never changed. The JSON printed on standard output holds:
 
 `--toy` runs a few desk steps and images only, in seconds. `--time` runs
 no comparison: it imports both trees under distinct package names in one
-process, sets up WORKLOAD (a perfbench train workload, data seed 4) in
-each, and times `--rounds` interleaved train steps, alternating which tree
-goes first. It prints the median and IQR of each tree's step time, and the
+process, sets up WORKLOAD (a perfbench workload, data seed 4) in each, and
+times `--rounds` interleaved rounds, alternating which tree goes first. A
+round is one train step of a train workload, or one predict batch and one
+CAM case (`grad_cam` and `heatmap_to_box`) of eval_desk. For each kind of
+operation it prints the median and IQR of each tree's time, and the
 median paired change and number of rounds CHANGE was faster.
 """
 
@@ -123,9 +126,10 @@ def _child(tree: Path, work: Path, role: str, toy: bool) -> None:
     n_images, n_cam = (TOY_EVAL_IMAGES, TOY_CAM_IMAGES) if toy else (EVAL_IMAGES, CAM_IMAGES)
     held = data.generate_synthetic(n_images, eval_w.input_size, wl.N_CLASSES, seed=DATA_SEED + 1, class_prior=wl.CLASS_PRIOR)
     images = np.stack([training.standardize(s.image) for s in held])[:, None]
-    out["predict"] = _digest([net.predict(images, batch_size=wl.PREDICT_BATCH)])
-    cams = [evaluation.grad_cam(net, images[i, 0], box[0]).raw for i, s in enumerate(held[:n_cam]) for box in s.boxes]
-    out["grad_cam"] = _digest(cams)
+    scores = net.predict(images, batch_size=wl.PREDICT_BATCH)
+    cams = np.stack([evaluation.grad_cam(net, images[i, 0], box[0]).raw for i, s in enumerate(held[:n_cam]) for box in s.boxes])
+    out["predict"], out["grad_cam"] = _digest([scores]), _digest([cams])
+    np.savez(work / f"{role}-eval.npz", predict=scores, grad_cam=cams)
 
     out["train"] = {}
     for name, steps in (TOY_STEPS if toy else STEPS).items():
@@ -161,15 +165,23 @@ def _child(tree: Path, work: Path, role: str, toy: bool) -> None:
 
 
 def compare(parent: Path, change: Path, toy: bool) -> dict:
+    import numpy as np
+
     with tempfile.TemporaryDirectory(prefix="equiv-") as tmp:
         work = Path(tmp)
         for role, tree in (("parent", parent), ("change", change)):
             cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(tree), str(work), role]
             subprocess.run(cmd + (["--toy"] if toy else []), check=True, env=_blas_env())
         p, c = (json.loads((work / f"{r}.json").read_text()) for r in ("parent", "change"))
+        with np.load(work / "parent-eval.npz") as pa, np.load(work / "change-eval.npz") as ca:
+            arrays = {what: (pa[what], ca[what]) for what in ("predict", "grad_cam")}
     result = {"parent": str(parent), "change": str(change)}
-    for what in ("predict", "grad_cam"):
-        result[what] = {"parent": p[what], "change": c[what], "equal": p[what] == c[what]}
+    for what, (pa, ca) in arrays.items():
+        peak = max(float(np.abs(pa).max()), np.finfo(float).tiny)
+        result[what] = {
+            "parent": p[what], "change": c[what], "equal": p[what] == c[what],
+            "max_rel": float(np.abs(ca - pa).max()) / peak,
+        }
     result["train"] = {}
     for key, run in c["train"].items():
         pl, cl = p["train"][key]["losses"], run["losses"]
@@ -222,7 +234,30 @@ def _load_tree(tree: Path, tag: str):
     return wl
 
 
-def time_steps(parent: Path, change: Path, workload: str, rounds: int) -> dict:
+def _timed_ops(wl, workload: str) -> dict:
+    """Operation kind -> (images per operation, `run(i)` for round i) of
+    one tree's WORKLOAD, set up from data seed 4."""
+    import numpy as np
+
+    w = wl.WORKLOADS[workload]
+    if w.kind == "train":
+        st = wl.setup_train(w, DATA_SEED)
+        rng = np.random.default_rng(STEP_SEED)
+        return {"train_step": (wl.BATCH, lambda i: wl.train_step(st, i + 1, rng))}
+    st = wl.setup_eval(w, DATA_SEED)
+    chunks = [slice(j, j + wl.PREDICT_BATCH) for j in range(0, len(st.images), wl.PREDICT_BATCH)]
+
+    def cam(i):
+        img, cls, _ = st.cases[i % len(st.cases)]
+        wl._cam(st.net, st.images[img, 0], cls, w.input_size)
+
+    return {
+        "predict_batch": (wl.PREDICT_BATCH, lambda i: st.net.predict(st.images[chunks[i % len(chunks)]], batch_size=wl.PREDICT_BATCH)),
+        "cam_case": (1, cam),
+    }
+
+
+def time_ops(parent: Path, change: Path, workload: str, rounds: int) -> dict:
     import statistics
     import time
 
@@ -230,31 +265,31 @@ def time_steps(parent: Path, change: Path, workload: str, rounds: int) -> dict:
 
     sides = []
     for tag, tree in (("parent", parent), ("change", change)):
-        wl = _load_tree(tree, tag)
-        st = wl.setup_train(wl.WORKLOADS[workload], DATA_SEED)
-        rng = np.random.default_rng(STEP_SEED)
-        wl.train_step(st, 0, rng)  # warm-up
-        sides.append((wl, st, rng, []))
+        ops = _timed_ops(_load_tree(tree, tag), workload)
+        for _, run in ops.values():
+            run(-1)  # warm-up
+        sides.append((ops, {kind: [] for kind in ops}))
     for i in range(rounds):
-        for wl, st, rng, times in sides if i % 2 == 0 else sides[::-1]:
-            start = time.perf_counter()
-            wl.train_step(st, i + 1, rng)
-            times.append(time.perf_counter() - start)
-    (_, _, _, tp), (_, _, _, tc) = sides
-    batch = sides[0][0].BATCH
+        for ops, times in sides if i % 2 == 0 else sides[::-1]:
+            for kind, (_, run) in ops.items():
+                start = time.perf_counter()
+                run(i)
+                times[kind].append(time.perf_counter() - start)
 
-    def summary(times):
+    def summary(times, images):
         q1, med, q3 = np.percentile(np.array(times) * 1e3, [25, 50, 75])
-        return {"median_ms": float(med), "iqr_ms": float(q3 - q1), "median_img_per_s": float(batch / np.median(times))}
+        return {"median_ms": float(med), "iqr_ms": float(q3 - q1), "median_img_per_s": float(images / np.median(times))}
 
-    return {
-        "workload": workload,
-        "rounds": rounds,
-        "parent": summary(tp),
-        "change": summary(tc),
-        "median_paired_change": statistics.median(c / p - 1.0 for p, c in zip(tp, tc)),
-        "change_faster_rounds": sum(c < p for p, c in zip(tp, tc)),
-    }
+    result = {"workload": workload, "rounds": rounds}
+    (ops, tp), (_, tc) = sides
+    for kind, (images, _) in ops.items():
+        result[kind] = {
+            "parent": summary(tp[kind], images),
+            "change": summary(tc[kind], images),
+            "median_paired_change": statistics.median(c / p - 1.0 for p, c in zip(tp[kind], tc[kind])),
+            "change_faster_rounds": sum(c < p for p, c in zip(tp[kind], tc[kind])),
+        }
+    return result
 
 
 def main(argv=None) -> int:
@@ -262,7 +297,7 @@ def main(argv=None) -> int:
     ap.add_argument("parent", help="git revision or directory of the parent tree")
     ap.add_argument("change", nargs="?", default=str(ROOT), help="git revision or directory (default: this tree)")
     ap.add_argument("--toy", action="store_true", help="a few desk steps and images only")
-    ap.add_argument("--time", metavar="WORKLOAD", help="time interleaved train steps of WORKLOAD instead")
+    ap.add_argument("--time", metavar="WORKLOAD", help="time interleaved operations of WORKLOAD instead")
     ap.add_argument("--rounds", type=int, default=30, help="timed rounds for --time (default 30)")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="equiv-trees-") as tmp:
@@ -270,7 +305,7 @@ def main(argv=None) -> int:
         change = _tree(args.change, Path(tmp), "change")
         if args.time:
             os.environ.update(_blas_env())  # numpy, and so BLAS, loads after this
-            result = time_steps(parent, change, args.time, args.rounds)
+            result = time_ops(parent, change, args.time, args.rounds)
         else:
             result = compare(parent, change, args.toy)
     print(json.dumps(result, indent=1))
