@@ -38,7 +38,7 @@ from .evaluation import (
     heatmap_to_box,
     localization_accuracy,
 )
-from .model import ConfigError, Network, NetworkConfig, baseline_variant, build_network
+from .model import ConfigError, Network, NetworkConfig, build_network
 from .routing import (
     Conv1x1CapsuleParams,
     RoutingError,
@@ -101,7 +101,7 @@ CONFIG_REGISTRY: dict = {
     "growth_rate": (_ranged(int, 1, 256), 8),
     "bottleneck_width": (_ranged(int, 1, 16), 4),
     "head_channels": (_ranged(int, 8, 1024), 32),
-    "routing_iters": (_ranged(int, 1, 16), 3),
+    "routing_iters": (_ranged(int, 0, 16), 3),  # 0: the unrouted baseline
     "caps_dim_class": (_ranged(int, 1, 64), 16),
     "n_classes": (_ranged(int, 1, 64), 4),
     "grad_mode": (_choice("none", "last"), "last"),
@@ -220,47 +220,40 @@ def _load_split(manifest_path, images_root, input_size: int, n_classes: int):
     return images, labels, entries
 
 
-def _build_from_config(cfg: RunConfig, seed: int, baseline: bool) -> Network:
-    builder = baseline_variant if baseline else build_network
-    return builder(cfg.network_config(), seed)
-
-
-def _checkpoint_from(net: Network, cfg: RunConfig, baseline: bool, adam: AdamState, rng) -> Checkpoint:
+def _checkpoint_from(net: Network, cfg: RunConfig, adam: AdamState, rng) -> Checkpoint:
+    """`net`'s state and `adam`'s moments under `cfg`'s echo, which must
+    describe `net`: `_restore_network` rebuilds the net from the echo alone."""
+    if cfg.network_config() != net.config:
+        raise ConfigError(f"config echo {cfg.network_config()} does not describe the network {net.config}")
     tensors = dict(net.state_arrays())
     for name, m in adam.m.items():
         tensors[f"adam.m.{name}"] = m
         tensors[f"adam.v.{name}"] = adam.v[name]
     tensors["adam.t"] = np.array(float(adam.t))
-    config = cfg.echo()
-    config["baseline"] = "1" if baseline else "0"
-    return Checkpoint(config=config, tensors=tensors, rng_state=rng_state_token(rng))
+    return Checkpoint(config=cfg.echo(), tensors=tensors, rng_state=rng_state_token(rng))
 
 
 def _restore_network(ckpt: Checkpoint):
     """Rebuild the architecture from the config echo and load its state.
 
-    `train` echoes every registry key and `baseline`, so a missing key or a
-    `baseline` other than 0 or 1 rejects the checkpoint instead of loading
-    a default model. The state must name exactly the arrays of
-    `Network.state_arrays`, dense running stats as one `dense.running_*`
-    per channel; anything else raises `ConfigError` before the network is
-    written. Adam state is not read.
+    `train` echoes every registry key, so a missing key rejects the
+    checkpoint instead of loading a default model. So does a key the
+    registry lacks: older checkpoints carry a `baseline` line, and
+    skipping it would load an unrouted net as routed. The state must name
+    exactly the arrays of `Network.state_arrays`, dense running stats as
+    one `dense.running_*` per channel; anything else raises `ConfigError`
+    before the network is written. Adam state is not read.
     """
-    echoed = dict(ckpt.config)
-    missing = [k for k in (*CONFIG_REGISTRY, "baseline") if k not in echoed]
+    missing = [k for k in CONFIG_REGISTRY if k not in ckpt.config]
     if missing:
         raise DataError(f"checkpoint config echo lacks key(s) {', '.join(missing)}")
-    if echoed["baseline"] not in ("0", "1"):
-        raise DataError(f"checkpoint config echo: baseline must be 0 or 1, got {echoed['baseline']!r}")
-    baseline = echoed.pop("baseline") == "1"
     try:
-        cfg = RunConfig(echoed)
+        cfg = RunConfig(ckpt.config)
     except DataError as e:
         raise DataError(f"checkpoint config echo rejected: {e}")
-    net = _build_from_config(cfg, seed=0, baseline=baseline)
-    state = {k: v for k, v in ckpt.tensors.items() if not k.startswith("adam.")}
-    net.load_state_arrays(state)
-    return net, cfg, baseline
+    net = build_network(cfg.network_config(), seed=0)
+    net.load_state_arrays({k: v for k, v in ckpt.tensors.items() if not k.startswith("adam.")})
+    return net, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +266,7 @@ def cmd_train(args) -> int:
     for item in args.set or []:
         key, _, value = item.partition("=")
         cfg.set(key.strip(), value.strip())
-    net = _build_from_config(cfg, args.seed, args.baseline)
+    net = build_network(cfg.network_config(), args.seed)
     images, labels, _ = _load_split(args.manifest, args.images_root, cfg["input_size"], cfg["n_classes"])
     dataset = list(zip(images, labels))
 
@@ -304,7 +297,7 @@ def cmd_train(args) -> int:
             f"(pos {m.pos_score_mean:.3f}, neg {m.neg_score_mean:.3f})"
         )
 
-    save_checkpoint(out, _checkpoint_from(net, cfg, args.baseline, adam, rng))
+    save_checkpoint(out, _checkpoint_from(net, cfg, adam, rng))
     metrics_path = out.with_suffix(out.suffix + ".metrics.csv")
     metrics_path.write_text("\n".join(rows) + "\n")
     print(f"wrote {out} and {metrics_path}")
@@ -312,7 +305,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net, cfg, _ = _restore_network(load_checkpoint(args.ckpt))
+    net, cfg = _restore_network(load_checkpoint(args.ckpt))
     images, labels, entries = _load_split(args.manifest, args.images_root, cfg["input_size"], cfg["n_classes"])
     prepared = np.stack([standardize(img) for img in images])[:, None]
     scores = net.predict(prepared, batch_size=cfg["batch_size"])
@@ -356,7 +349,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcam(args) -> int:
-    net, cfg, _ = _restore_network(load_checkpoint(args.ckpt))
+    net, cfg = _restore_network(load_checkpoint(args.ckpt))
     img = load_pgm(args.image)
     size = cfg["input_size"]
     if img.shape != (size, size):
@@ -475,7 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="checkpoint path")
     t.add_argument("--seed", type=_ranged(int, 0), default=0)
     t.add_argument("--epochs", type=_ranged(int, 0), default=10)
-    t.add_argument("--baseline", action="store_true", help="unrouted: every routed layer at zero iterations")
     t.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
     t.set_defaults(fn=cmd_train)
 

@@ -363,7 +363,6 @@ class Checkpoint:
     config: dict[str, str] = field(default_factory=dict)
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     rng_state: str | None = None
-    version: int = _VERSION
 
 
 def _check_field(what: str, text, bad) -> None:
@@ -382,7 +381,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     would read back as something else raises DataError before any write.
     """
     header = io.StringIO()
-    header.write(f"{_MAGIC} {ckpt.version}\n")
+    header.write(f"{_MAGIC} {_VERSION}\n")
     for key, value in ckpt.config.items():
         _check_field("config key", key, lambda c: c.isspace() or c == "=")
         _check_field(f"config {key} value", value, "\n".__eq__)
@@ -434,7 +433,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise DataError(f"{path}: bad magic {magic!r}, expected {_MAGIC}")
     if _natural(version) != _VERSION:
         raise DataError(f"{path}: unsupported version {version!r}, expected {_VERSION}")
-    ckpt.version = _VERSION
 
     while True:
         line, pos = next_line(pos)

@@ -34,7 +34,7 @@ Class scores are the L2 norms of the output capsules, so they live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,12 +69,12 @@ def _is_int(value) -> bool:
 class NetworkConfig:
     input_size: int = 64
     down_channels: tuple[int, int] = (16, 16)  # stem conv7x7 out, conv1x1 out
-    n_dense_blocks: int = 2
-    layers_per_block: int = 8
+    n_dense_blocks: int = 1
+    layers_per_block: int = 4
     growth_rate: int = 8
     bottleneck_width: int = 4  # routed 1x1 emits bottleneck_width * growth_rate maps
     head_channels: int = 32
-    routing_iters: int = 3
+    routing_iters: int = 3  # 0: the unrouted baseline
     caps_dim_class: int = 16
     n_classes: int = 4
     grad_mode: str = "last"
@@ -88,13 +88,14 @@ class NetworkConfig:
             "growth_rate": self.growth_rate,
             "bottleneck_width": self.bottleneck_width,
             "head_channels": self.head_channels,
-            "routing_iters": self.routing_iters,
             "caps_dim_class": self.caps_dim_class,
             "n_classes": self.n_classes,
         }
         for name, value in positive.items():
             if not _is_int(value) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_int(self.routing_iters) or self.routing_iters < 0:
+            raise ConfigError(f"routing_iters must be an integer >= 0, got {self.routing_iters!r}")
         if len(self.down_channels) != 2 or not all(_is_int(c) and c >= 1 for c in self.down_channels):
             raise ConfigError(f"down_channels must be two integer extents >= 1, got {self.down_channels!r}")
         if self.head_channels % PRIMARY_CAPS_DIM != 0:
@@ -169,11 +170,9 @@ def shape_trace(config: NetworkConfig) -> list[tuple[str, tuple[int, int, int]]]
 class Network:
     """Instantiated parameter set plus forward logic and named taps."""
 
-    def __init__(self, config: NetworkConfig, seed: int, baseline: bool = False):
-        """`baseline` builds every routed layer at zero iterations: unrouted."""
+    def __init__(self, config: NetworkConfig, seed: int):
         config.validate()
         self.config = config
-        iters = 0 if baseline else config.routing_iters
         self.trace = shape_trace(config)
         dt = resolve_dtype(config.dtype)
         rng = np.random.default_rng(seed)
@@ -200,7 +199,7 @@ class Network:
                         name=name,
                         bn1_gamma=Tensor(np.ones(ch, dtype=dt), requires_grad=True),
                         bn1_beta=Tensor(np.zeros(ch, dtype=dt), requires_grad=True),
-                        route=Conv1x1CapsuleParams(param(ch, bott), iters),
+                        route=Conv1x1CapsuleParams(param(ch, bott), config.routing_iters),
                         bn2_gamma=Tensor(np.ones(bott, dtype=dt), requires_grad=True),
                         bn2_beta=Tensor(np.zeros(bott, dtype=dt), requires_grad=True),
                         bn2_state=BatchNormState.fresh(bott, dtype=dt),
@@ -216,7 +215,8 @@ class Network:
 
         grid = self.trace[-3][1][1]  # side of the pooled capsule grid
         n_caps = grid * grid * (config.head_channels // PRIMARY_CAPS_DIM)
-        self.fc = FcCapsuleParams(param(n_caps, config.n_classes, PRIMARY_CAPS_DIM, config.caps_dim_class), iters)
+        fc_w = param(n_caps, config.n_classes, PRIMARY_CAPS_DIM, config.caps_dim_class)
+        self.fc = FcCapsuleParams(fc_w, config.routing_iters)
 
     # -- parameter/state registry -------------------------------------------
 
@@ -403,7 +403,7 @@ def primary_capsules(head_features: Tensor) -> Tensor:
 
 def build_network(config: NetworkConfig, seed: int) -> Network:
     """Instantiate the routed network with seeded normal(0, 0.05) weights."""
-    return Network(config, seed, baseline=False)
+    return Network(config, seed)
 
 
 def baseline_variant(config: NetworkConfig, seed: int) -> Network:
@@ -413,4 +413,4 @@ def baseline_variant(config: NetworkConfig, seed: int) -> Network:
     FC layer squash(sum_i u_hat_ij). Parameter shapes, count, and seeded
     values match the routed model's.
     """
-    return Network(config, seed, baseline=True)
+    return Network(replace(config, routing_iters=0), seed)

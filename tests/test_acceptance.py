@@ -366,7 +366,7 @@ def test_c8_localization(desk_data, trained_routed, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(
         ckpt,
-        _checkpoint_from(net, trained_routed["cfg"], False, trained_routed["adam"], trained_routed["rng"]),
+        _checkpoint_from(net, trained_routed["cfg"], trained_routed["adam"], trained_routed["rng"]),
     )
     report = tmp_path / "report.csv"
     rc = main(
@@ -425,8 +425,8 @@ def test_c9_persistence(tmp_path):
     in_memory = net.predict(prepared)
 
     ckpt_path = tmp_path / "persist.ckpt"
-    save_checkpoint(ckpt_path, _checkpoint_from(net, cfg, False, adam, rng))
-    restored, _, _ = _restore_network(load_checkpoint(ckpt_path))
+    save_checkpoint(ckpt_path, _checkpoint_from(net, cfg, adam, rng))
+    restored, _ = _restore_network(load_checkpoint(ckpt_path))
     reloaded = restored.predict(prepared)
     bitwise_ok = np.array_equal(in_memory, reloaded)
 

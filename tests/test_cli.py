@@ -9,7 +9,7 @@ from capsroute import routing
 from capsroute.cli import RunConfig, bench_routing, main
 from capsroute.data import DataError, load_checkpoint, load_manifest, load_pgm, save_checkpoint
 from capsroute.evaluation import auc
-from capsroute.model import ConfigError
+from capsroute.model import ConfigError, NetworkConfig, baseline_variant
 
 
 TINY = [
@@ -64,6 +64,7 @@ class TestRunConfig:
     def test_defaults_and_overrides(self):
         cfg = RunConfig()
         assert cfg["alpha"] == 0.001 and cfg["switch_epoch"] == 50
+        assert cfg.network_config() == NetworkConfig()  # one default architecture
         cfg.set("alpha", "0.01")
         assert cfg["alpha"] == 0.01
 
@@ -286,7 +287,7 @@ class TestEval:
         from capsroute.cli import _load_split, _restore_network
         from capsroute.training import standardize
 
-        net, cfg, _ = _restore_network(load_checkpoint(trained))
+        net, cfg = _restore_network(load_checkpoint(trained))
         images, labels, _ = _load_split(dataset / "test.csv", dataset, 32, 4)
         scores = net.predict(np.stack([standardize(i) for i in images])[:, None])
         for c in range(4):
@@ -334,16 +335,14 @@ class TestEval:
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            ("baseline", "yes", "baseline must be 0 or 1, got 'yes'"),
-            ("baseline", "2", "baseline must be 0 or 1, got '2'"),
-            ("baseline", "", "baseline must be 0 or 1, got ''"),
-            ("baseline", None, "lacks key(s) baseline"),
             ("routing_iters", None, "lacks key(s) routing_iters"),
+            ("baseline", "1", "unknown config key 'baseline'"),
         ],
     )
     def test_damaged_config_echo_exit_2(self, command, key, value, message, dataset, trained, tmp_path, capsys):
         # a wrong echo must not load a default model: a missing routing_iters
-        # would build the CLI default, a bad baseline the routed net
+        # would build the CLI default, and an older checkpoint's `baseline=1`
+        # line, if skipped, would load an unrouted net as routed
         ck = load_checkpoint(trained)
         if value is None:
             del ck.config[key]
@@ -364,9 +363,11 @@ class TestEval:
     def test_baseline_echo_restores_the_unrouted_net(self, dataset, tmp_path):
         out = tmp_path / "base.ckpt"
         train = ["train", "--manifest", str(dataset / "train.csv"), "--images-root", str(dataset), "--out", str(out)]
-        assert main(_tiny_args([*train, "--epochs", "1", "--baseline"])) == 0
-        net, _, baseline = cli._restore_network(load_checkpoint(out))
-        assert baseline and load_checkpoint(out).config["baseline"] == "1"
+        assert main([*_tiny_args([*train, "--epochs", "1"]), "--set", "routing_iters=0"]) == 0
+        echo = load_checkpoint(out).config
+        assert echo["routing_iters"] == "0" and "baseline" not in echo
+        net, cfg = cli._restore_network(load_checkpoint(out))
+        assert cfg["routing_iters"] == net.config.routing_iters == 0
         assert net.fc.iterations == 0 and all(lay.route.iterations == 0 for lay in net.blocks[0])
 
     def test_box_class_out_of_range_exit_2_without_report(self, dataset, trained, tmp_path, capsys):
@@ -483,10 +484,10 @@ class TestCheckpointLayout:
         assert tensors["block0.layer0.bn2.running_var"].shape == (8,)
 
     def test_save_load_round_trip(self, dataset, trained, tmp_path):
-        net, cfg, baseline = cli._restore_network(load_checkpoint(trained))
+        net, cfg = cli._restore_network(load_checkpoint(trained))
         again = tmp_path / "again.ckpt"
-        save_checkpoint(again, cli._checkpoint_from(net, cfg, baseline, cli.AdamState(), np.random.default_rng(0)))
-        restored, _, _ = cli._restore_network(load_checkpoint(again))
+        save_checkpoint(again, cli._checkpoint_from(net, cfg, cli.AdamState(), np.random.default_rng(0)))
+        restored, _ = cli._restore_network(load_checkpoint(again))
         want = net.state_arrays()
         got = restored.state_arrays()
         assert sorted(got) == sorted(want)
@@ -494,6 +495,13 @@ class TestCheckpointLayout:
             assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name]), name
         images = np.random.default_rng(1).standard_normal((3, 1, 32, 32))
         assert np.array_equal(restored.predict(images), net.predict(images))
+
+    def test_echo_must_describe_the_net(self):
+        cfg = RunConfig()
+        assert cfg["routing_iters"] == 3
+        net = baseline_variant(cfg.network_config(), seed=0)
+        with pytest.raises(ConfigError, match="does not describe"):
+            cli._checkpoint_from(net, cfg, cli.AdamState(), np.random.default_rng(0))
 
     def test_per_reader_layout_rejected(self, dataset, trained, tmp_path, capsys):
         ck = load_checkpoint(trained)

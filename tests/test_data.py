@@ -422,6 +422,15 @@ class TestCheckpoint:
             save_checkpoint(tmp_path / "c.ckpt", ckpt)
         assert not any(tmp_path.iterdir())
 
+    def test_header_version_is_the_format_s(self, tmp_path):
+        # the version is the format's, not a field a caller sets: a set one
+        # could carry a line break into the header
+        with pytest.raises(TypeError):
+            Checkpoint(config={"a": "b"}, version="1\nconfig injected=yes")
+        p = tmp_path / "c.ckpt"
+        save_checkpoint(p, Checkpoint(config={"a": "b"}))
+        assert p.read_bytes().startswith(b"CAPS 1\nconfig a=b\n")
+
     def test_value_count_reported_without_wrap(self, tmp_path):
         p = tmp_path / "c.ckpt"
         save_checkpoint(p, Checkpoint(tensors={"a": np.arange(4.0)}))

@@ -103,11 +103,11 @@ class TestShapeTrace:
     def test_numpy_integer_sizes_accepted(self):
         NetworkConfig(growth_rate=np.int64(8), down_channels=(np.int32(16), 16)).validate()
 
-    def test_routing_iters_stays_at_least_one(self):
-        # zero iterations is the baseline's setting, chosen by
-        # `baseline_variant`, not a config value
-        with pytest.raises(ConfigError, match="routing_iters"):
-            NetworkConfig(routing_iters=0).validate()
+    def test_routing_iters_counts_from_zero(self):
+        NetworkConfig(routing_iters=0).validate()  # the unrouted baseline
+        for value in (-1, True, 2.5):
+            with pytest.raises(ConfigError, match="routing_iters"):
+                NetworkConfig(routing_iters=value).validate()
 
 
 def reference_stem(net, x):
@@ -219,7 +219,7 @@ class TestBuild:
         for make, iters in ((build_network, 3), (baseline_variant, 0)):
             net = make(cfg, seed=1)
             assert [lay.route.iterations for lay in net.blocks[0]] == [iters, iters]
-            assert net.fc.iterations == iters
+            assert net.fc.iterations == net.config.routing_iters == iters
 
 
 class TestLoadStateArrays:

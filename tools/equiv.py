@@ -15,17 +15,18 @@ read and never changed. The JSON printed on standard output holds:
   eval_desk's held-out images and of the Grad-CAM maps of the first
   images' ground-truth boxes, whether they are equal, and "max_rel": the
   largest |CHANGE - PARENT| over the largest |PARENT|. Both trees load the
-  same state arrays: a checkpoint that PARENT trains with eval_desk's
-  recipe and writes with its own `save_checkpoint`, and that each tree
-  reads with its own `_restore_network`.
+  same state arrays: PARENT trains eval_desk's recipe net and writes its
+  `state_arrays()` with its own `save_checkpoint`, and each tree reads
+  them with its own `load_checkpoint` into its own recipe net, through
+  `Network.load_state_arrays`.
 - "train": per workload and dtype, the seeded steps of perfbench's recipe
   (data seed 4, step rng 7; 12 train_desk, 12 train_desk_baseline and 3
   train_paper steps, in f32 and in f64): "loss_max_rel", the largest
   relative step-loss difference; "state_max_rel", the largest difference
   of any state array relative to that array's largest magnitude; and
   "bitwise", whether losses and every state array are equal. PARENT's final
-  state is read back through CHANGE's checkpoint loader, so a change of
-  state layout compares like with like.
+  state is read back into CHANGE's recipe net the same way, so a change of
+  state layout fails loudly instead of comparing unlike arrays.
 - "equal": whether everything was bitwise equal.
 
 `--toy` runs a few desk steps and images only, in seconds. `--time` runs
@@ -101,17 +102,16 @@ def _child(tree: Path, work: Path, role: str, toy: bool) -> None:
 
     import numpy as np
     import workloads as wl
-    from capsroute import cli, data, evaluation, training
+    from capsroute import data, evaluation, model, training
 
-    def run_config(w, dtype) -> "cli.RunConfig":
-        cfg = cli.RunConfig({"input_size": str(w.input_size), "dtype": dtype})
-        expect = dataclasses.replace(wl.network_config(w.input_size), dtype=dtype)
-        if cfg.network_config() != expect:
-            raise RuntimeError("perfbench's recipe no longer matches the config registry defaults")
-        return cfg
+    # only names both trees share: the state arrays go through the checkpoint
+    # file format, and each tree loads them into a net of its own building
+    def save(path, net):
+        data.save_checkpoint(path, data.Checkpoint(tensors=net.state_arrays()))
 
-    def save(path, st, w, dtype, rng):
-        data.save_checkpoint(path, cli._checkpoint_from(st.net, run_config(w, dtype), w.baseline, st.adam, rng))
+    def load(path, net):
+        net.load_state_arrays(data.load_checkpoint(path).tensors)
+        return net
 
     out = {}
     eval_w = wl.WORKLOADS["eval_desk"]
@@ -121,8 +121,8 @@ def _child(tree: Path, work: Path, role: str, toy: bool) -> None:
         rng = np.random.default_rng(wl.EVAL_MODEL_SEED)
         for k in range(TOY_PRETRAIN if toy else wl.EVAL_PRETRAIN_STEPS):
             wl.train_step(st, k, rng)
-        save(ckpt, st, eval_w, "f32", rng)
-    net, _, _ = cli._restore_network(data.load_checkpoint(ckpt))
+        save(ckpt, st.net)
+    net = load(ckpt, model.build_network(wl.network_config(eval_w.input_size), wl.EVAL_MODEL_SEED))
     n_images, n_cam = (TOY_EVAL_IMAGES, TOY_CAM_IMAGES) if toy else (EVAL_IMAGES, CAM_IMAGES)
     held = data.generate_synthetic(n_images, eval_w.input_size, wl.N_CLASSES, seed=DATA_SEED + 1, class_prior=wl.CLASS_PRIOR)
     images = np.stack([training.standardize(s.image) for s in held])[:, None]
@@ -143,11 +143,11 @@ def _child(tree: Path, work: Path, role: str, toy: bool) -> None:
                 wl.network_config = shipped
             rng = np.random.default_rng(STEP_SEED)
             losses = [wl.train_step(st, k, rng).mean_loss for k in range(steps)]
-            save(work / f"{role}-{name}-{dtype}.ckpt", st, w, dtype, rng)
+            save(work / f"{role}-{name}-{dtype}.ckpt", st.net)
             run = {"losses": losses}
-            if role == "change":  # both final states, read back through this tree's loader
+            if role == "change":  # both final states, read back into this tree's recipe net
                 mine, theirs = (
-                    cli._restore_network(data.load_checkpoint(work / f"{r}-{name}-{dtype}.ckpt"))[0].state_arrays()
+                    {k: a.copy() for k, a in load(work / f"{r}-{name}-{dtype}.ckpt", st.net).state_arrays().items()}
                     for r in ("change", "parent")
                 )
                 run["state"], run["parent_state"] = _state_digest(mine), _state_digest(theirs)
