@@ -16,7 +16,7 @@ from .evaluation import BBox, auc, iobb
 from .model import NetworkConfig, build_network
 from .routing import (
     Conv1x1CapsuleParams, FcCapsuleParams, conv1x1_capsule_forward, frozen_routing, route_conv1x1_naive, route_fc,
-    softmax_lastdim, squash,
+    softmax_firstdim, squash,
 )
 from .tensor import Tensor, einsum2, finite_diff_check, relu, square, tsum, vec_norm
 
@@ -100,7 +100,7 @@ def _op_checks():
     yield "einsum2", lambda: finite_diff_check(
         lambda t: wsq(einsum2("ij,jk->ik", Tensor(a34), t)), Tensor(b45.copy())
     )
-    yield "softmax", lambda: finite_diff_check(lambda t: wsq(softmax_lastdim(t)), Tensor(rng.standard_normal((5, 6))))
+    yield "softmax", lambda: finite_diff_check(lambda t: wsq(softmax_firstdim(t)), Tensor(rng.standard_normal((5, 6))))
     yield "vec_norm", lambda: finite_diff_check(
         lambda t: vec_norm(t, axis=-1).sum(), Tensor(rng.standard_normal((4, 3)) + 0.4)
     )

@@ -222,9 +222,18 @@ def _load_split(manifest_path, images_root, input_size: int, n_classes: int):
 
 def _checkpoint_from(net: Network, cfg: RunConfig, adam: AdamState, rng) -> Checkpoint:
     """`net`'s state and `adam`'s moments under `cfg`'s echo, which must
-    describe `net`: `_restore_network` rebuilds the net from the echo alone."""
+    describe `net`: `_restore_network` rebuilds the net from the echo alone,
+    so a layer routed at other than `routing_iters` (a mixed arm) is refused."""
     if cfg.network_config() != net.config:
         raise ConfigError(f"config echo {cfg.network_config()} does not describe the network {net.config}")
+    iters = {lay.name: lay.route.iterations for layers in net.blocks for lay in layers}
+    iters["fc"] = net.fc.iterations
+    mixed = sorted(name for name, r in iters.items() if r != net.config.routing_iters)
+    if mixed:
+        raise ConfigError(
+            f"layer(s) {', '.join(mixed)} route at other than routing_iters={net.config.routing_iters}, "
+            "which the checkpoint cannot record"
+        )
     tensors = dict(net.state_arrays())
     for name, m in adam.m.items():
         tensors[f"adam.m.{name}"] = m

@@ -9,7 +9,7 @@ from capsroute import routing
 from capsroute.cli import RunConfig, bench_routing, main
 from capsroute.data import DataError, load_checkpoint, load_manifest, load_pgm, save_checkpoint
 from capsroute.evaluation import auc
-from capsroute.model import ConfigError, NetworkConfig, baseline_variant
+from capsroute.model import ConfigError, NetworkConfig, baseline_variant, build_network
 
 
 TINY = [
@@ -501,6 +501,20 @@ class TestCheckpointLayout:
         assert cfg["routing_iters"] == 3
         net = baseline_variant(cfg.network_config(), seed=0)
         with pytest.raises(ConfigError, match="does not describe"):
+            cli._checkpoint_from(net, cfg, cli.AdamState(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("arm", ["fc", "dense"])
+    def test_mixed_arm_refused(self, arm):
+        # the echo records routing_iters alone, so a net whose layers route
+        # at other depths would restore as a different model without error
+        cfg = RunConfig()
+        net = build_network(cfg.network_config(), seed=0)
+        if arm == "fc":
+            net.fc.iterations = 0
+        else:
+            net.blocks[0][1].route.iterations = 1
+        want = "fc" if arm == "fc" else "block0.layer1"
+        with pytest.raises(ConfigError, match=rf"layer\(s\) {want} route at other than routing_iters=3"):
             cli._checkpoint_from(net, cfg, cli.AdamState(), np.random.default_rng(0))
 
     def test_per_reader_layout_rejected(self, dataset, trained, tmp_path, capsys):

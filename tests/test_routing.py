@@ -19,7 +19,7 @@ from capsroute.routing import (
     route_fc,
     squash,
 )
-from capsroute.tensor import Tape, Tensor, backward, einsum2, finite_diff_check, tsum
+from capsroute.tensor import Tape, Tensor, backward, einsum2, finite_diff_check, mul, relu, tsum
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +144,30 @@ class TestSquash:
 
 
 class TestCouplingSoftmax:
+    # the softmax runs over the output index, the leading axis
     def test_zero_logits_uniform(self):
-        c = coupling_softmax(np.zeros((3, 4)))
+        c = coupling_softmax(np.zeros((4, 3)))
         np.testing.assert_allclose(c, 0.25, rtol=0, atol=1e-15)
 
     def test_log_integer_row(self):
-        b = np.log(np.array([[1.0, 2.0, 3.0]]))
-        np.testing.assert_allclose(coupling_softmax(b), [[1 / 6, 2 / 6, 3 / 6]], rtol=1e-14)
+        b = np.log(np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(coupling_softmax(b), [1 / 6, 2 / 6, 3 / 6], rtol=1e-14)
 
-    def test_rows_sum_to_one_and_shift_invariant(self):
+    def test_columns_sum_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(2)
-        b = rng.standard_normal((20, 7)) * 10
+        b = rng.standard_normal((7, 20)) * 10
         c = coupling_softmax(b)
-        np.testing.assert_allclose(c.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c.sum(axis=0), 1.0, rtol=0, atol=1e-12)
         assert np.all(c >= 0)
-        shifted = coupling_softmax(b + rng.standard_normal((20, 1)))
+        shifted = coupling_softmax(b + rng.standard_normal((1, 20)))
         np.testing.assert_allclose(shifted, c, rtol=1e-12, atol=1e-14)
+
+    def test_three_dimensional_logits_reduce_the_leading_axis(self):
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((5, 3, 4)) * 4
+        want = np.exp(b) / np.exp(b).sum(axis=0)
+        np.testing.assert_allclose(coupling_softmax(b), want, rtol=1e-13)
+        np.testing.assert_allclose(coupling_softmax(b.astype(np.float32)), want, rtol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +277,7 @@ class TestKernelRouting:
         A = W * W / J
         n2 = (A / J).sum(axis=0)
         b = A * (np.sqrt(n2) / (1 + n2))
-        np.testing.assert_allclose(trace[1][0], coupling_softmax(b), rtol=1e-12)
+        np.testing.assert_allclose(trace[1][0], coupling_softmax(b.T).T, rtol=1e-12)
 
     def test_frozen_instance_matches_naive(self):
         F = np.array(_FROZEN_F)
@@ -315,9 +323,79 @@ class TestKernelRouting:
                 conv1x1_capsule_forward(Tensor(F[None].astype(np.float32)), params, grad_mode=mode)
         # a corrupted Gram matrix still aborts
         for dt in (np.float32, np.float64):
-            W, c = np.ones((I, J), dtype=dt), np.full((1, I, J), 1.0 / J, dtype=dt)
+            W, c = np.ones((I, J), dtype=dt), np.full((J, 1, I), 1.0 / J, dtype=dt)  # c output-major
             with pytest.raises(RoutingNumericalError):
                 routing._gram_step(Tensor(c), Tensor(-np.eye(I, dtype=dt)[None]), Tensor(W))
+
+
+# ---------------------------------------------------------------------------
+# the fused Gram step against its composition of taped primitives
+# ---------------------------------------------------------------------------
+
+
+def _composed_gram_step(c, G, W):
+    """The Gram evidence update written as taped primitives on input-major
+    (B, I, J) couplings: A = W * (G^T (c * W)), |g|^2 = sum_i c * A, and
+    A times the routing scale of the clamped |g|^2."""
+    A = mul(W, einsum2("bli,blj->bij", G, mul(c, W)))
+    n2 = tsum(mul(c, A), axis=1)
+    B, J = n2.shape
+    return mul(A, routing._routing_scale_op(relu(n2)).reshape(B, 1, J))
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _gram_case(B, I, J, seed):
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((B, I, 2 * I))
+    G = F @ F.transpose(0, 2, 1) + 0.1 * rng.standard_normal((B, I, I))  # not symmetric
+    c = rng.random((B, I, J)) + 0.05
+    return c / c.sum(axis=-1, keepdims=True), G, rng.standard_normal((I, J))
+
+
+def _clamped_gram_case():
+    # output 0 has a zero weight column, so |g|^2 is exactly 0 for every
+    # sample; output 1 reads only input 3, whose Gram entry in sample 1 is
+    # a negative of rounding size, so its |g|^2 is negative inside the band
+    c, G, W = _gram_case(2, 4, 3, seed=33)
+    W[:, 0] = 0.0
+    W[:, 1] = [0.0, 0.0, 0.0, 1.0]
+    G[1] = np.diag([1.0, 1.0, 1.0, -1e-15])
+    return c, G, W
+
+
+_GRAM_CASES = {"B1": lambda: _gram_case(1, 5, 4, 31), "B3": lambda: _gram_case(3, 6, 4, 32), "clamped": _clamped_gram_case}
+
+
+class TestFusedGramStep:
+    @pytest.mark.parametrize("case", sorted(_GRAM_CASES))
+    def test_matches_composed_primitives_in_f64(self, case):
+        c, G, W = _GRAM_CASES[case]()
+        n2 = np.einsum("bij,bij->bj", c, W * np.einsum("bli,blj->bij", G, c * W))
+        if case == "clamped":
+            assert np.all(n2[:, 0] == 0.0) and n2[1, 1] < 0.0
+        else:
+            assert np.all(n2 > 0)
+        probe = np.random.default_rng(34).standard_normal(c.shape)
+        results = []
+        for fused in (False, True):
+            cs = c.transpose(2, 0, 1).copy() if fused else c  # the shipped step is output-major
+            ts = [Tensor(x.copy(), requires_grad=True) for x in (cs, G, W)]
+            upstream = Tensor(probe.transpose(2, 0, 1).copy() if fused else probe)
+            with Tape() as tape:
+                out = routing._gram_step(*ts) if fused else _composed_gram_step(*ts)
+                backward(tape, (out * upstream).sum())
+            if fused:
+                assert len(tape.records) == 3  # the step, then the loss's product and sum
+                out, gc = out.data.transpose(1, 2, 0), ts[0].grad.transpose(1, 2, 0)
+            else:
+                out, gc = out.data, ts[0].grad
+            results.append((out, gc, ts[1].grad, ts[2].grad))
+        for name, want, got in zip(("output", "dc", "dG", "dW"), *results):
+            assert got.shape == want.shape, name
+            assert _rel(got, want) <= 1e-12, (name, _rel(got, want))
 
 
 # ---------------------------------------------------------------------------

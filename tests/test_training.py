@@ -275,7 +275,7 @@ class TestTrainEpoch:
         assert (m.lambda_plus, m.lambda_minus) == (0.75, 0.25)
 
 
-@pytest.mark.parametrize("make,records", [(build_network, 121), (baseline_variant, 65)])
+@pytest.mark.parametrize("make,records", [(build_network, 94), (baseline_variant, 65)])
 def test_desk_step_tape_record_count_pinned(make, records):
     # one desk-recipe forward plus margin loss, as a train step tapes it.
     # A change to the count (telemetry, a composed op) must update this
@@ -284,7 +284,13 @@ def test_desk_step_tape_record_count_pinned(make, records):
     # normalization and affine-ReLU, its new maps' normalization), and the
     # stem's normalization and the head's reader add two. The head conv and
     # its pool tape three: the space-to-depth copy, the kernel fold and the
-    # cell conv of `conv_avgpool`.
+    # cell conv of `conv_avgpool`. A routed 1x1 tapes seven: the Gram
+    # build, the Gram evidence update (one op with its own VJP; it was nine
+    # composed records, 121 in all), the logit add, the coupling softmax,
+    # the transpose of the output-major couplings to input-major, and the
+    # combination's product and contraction; the FC layer's last round
+    # tapes that transpose too. At zero iterations the couplings are
+    # filled input-major, so the baseline gains no record.
     cfg = NetworkConfig(input_size=64, n_dense_blocks=1, layers_per_block=4)
     net = make(cfg, 0)
     x = np.random.default_rng(0).standard_normal((2, 1, 64, 64))
